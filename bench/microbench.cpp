@@ -68,9 +68,10 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
-    // Each schedule cancels its predecessor — the medium's pending-fire
-    // rearm pattern at its most adversarial.  Exercises handle
-    // invalidation, slot recycling and heap compaction.
+    // Each schedule cancels its predecessor — EventHandle churn at its
+    // most adversarial.  Exercises handle invalidation, slot recycling
+    // and heap compaction.  (The media move their pending fire/end with
+    // re-armable timers instead; BM_MediumTimerRearm compares the two.)
     sim::EventHandle prev;
     for (int i = 0; i < n; ++i) {
       prev.cancel();
@@ -82,6 +83,68 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(10000);
+
+// The media's re-arm pattern: every dispatched event moves one pending
+// occurrence while ~1k far-future records (the probe arrivals a train
+// schedules up front) sit in the heap.  Arg 0 moves it with cancel +
+// schedule, arg 1 with a re-armable timer; both yield the same dispatch
+// order, so items/s compares the cost of the two mechanisms directly.
+class RearmChurn {
+ public:
+  static constexpr int kTicks = 10000;
+
+  explicit RearmChurn(bool use_timer)
+      : use_timer_(use_timer),
+        timer_(q_.add_timer<&RearmChurn::pending>(*this)) {
+    for (int i = 0; i < 1024; ++i) {
+      q_.schedule(TimeNs::sec(1'000'000 + i), [] {});
+    }
+  }
+
+  /// Runs kTicks heap events, each re-arming the pending occurrence.
+  void run() {
+    left_ = kTicks;
+    q_.schedule_member<&RearmChurn::tick>(now_ + kStep, *this);
+    q_.run_until(now_ + kStep * (kTicks + 2), now_);
+  }
+  [[nodiscard]] std::size_t live() const { return q_.size(); }
+
+ private:
+  static constexpr TimeNs kStep = TimeNs::ns(10);
+
+  void tick() {
+    if (--left_ > 0) {
+      q_.schedule_member<&RearmChurn::tick>(now_ + kStep, *this);
+    }
+    // Always just behind the next tick, so it fires only after the last.
+    const TimeNs at = now_ + kStep + TimeNs::ns(5);
+    if (use_timer_) {
+      q_.arm(timer_, at);
+    } else {
+      handle_.cancel();
+      handle_ = q_.schedule_member<&RearmChurn::pending>(at, *this);
+    }
+  }
+  void pending() {}
+
+  sim::EventQueue q_;
+  bool use_timer_;
+  sim::TimerId timer_;
+  sim::EventHandle handle_;
+  TimeNs now_ = TimeNs::zero();
+  int left_ = 0;
+};
+
+void BM_MediumTimerRearm(benchmark::State& state) {
+  RearmChurn churn(state.range(0) != 0);
+  for (auto _ : state) {
+    churn.run();
+    benchmark::DoNotOptimize(churn.live());
+  }
+  state.SetItemsProcessed(state.iterations() * RearmChurn::kTicks);
+  state.SetLabel(state.range(0) != 0 ? "timer" : "cancel+schedule");
+}
+BENCHMARK(BM_MediumTimerRearm)->Arg(0)->Arg(1);
 
 void BM_DcfSaturatedStation(benchmark::State& state) {
   const int stations = static_cast<int>(state.range(0));
@@ -112,15 +175,19 @@ void BM_MediumContention(benchmark::State& state) {
     cfg.contenders.push_back(core::StationSpec::poisson(BitRate::mbps(1.0)));
   }
   const core::Scenario sc(cfg);
-  std::uint64_t frames = 0;
+  // The work count is accumulated from the result, never read back from
+  // a DoNotOptimize'd lvalue: libbenchmark's "+m,r" in/out constraint
+  // may hand back garbage under GCC at -O2 and above.
+  std::int64_t frames = 0;
   for (auto _ : state) {
     const core::ContentionResult r =
         sc.run_contention(TimeNs::sec(1), TimeNs::zero());
-    frames = r.medium.successes;
-    benchmark::DoNotOptimize(frames);
+    frames += static_cast<std::int64_t>(r.medium.successes);
+    benchmark::DoNotOptimize(r);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
+  state.SetItemsProcessed(frames);
+  state.counters["frames_per_iter"] =
+      static_cast<double>(frames) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_MediumContention)->Arg(2)->Arg(5)->Arg(10);
 
@@ -137,7 +204,8 @@ void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo) {
       -> std::unique_ptr<mac::MediumBase> {
     return std::make_unique<topo::ConflictGraphMedium>(sim, phy, topo);
   };
-  std::uint64_t frames = 0;
+  // Accumulated as in BM_MediumContention: never through DoNotOptimize.
+  std::int64_t frames = 0;
   for (auto _ : state) {
     mac::WlanNetwork net(mac::PhyParams::dot11b_short(), 21, factory);
     for (int i = 0; i < n; ++i) {
@@ -153,11 +221,13 @@ void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo) {
       });
     }
     net.simulator().run_until(TimeNs::sec(60));
-    frames = net.medium().stats().successes;
-    benchmark::DoNotOptimize(frames);
+    const mac::MediumStats& stats = net.medium().stats();
+    frames += static_cast<std::int64_t>(stats.successes);
+    benchmark::DoNotOptimize(stats);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(frames));
+  state.SetItemsProcessed(frames);
+  state.counters["frames_per_iter"] =
+      static_cast<double>(frames) / static_cast<double>(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid9, topo::Topology::grid(3, 3));
 BENCHMARK_CAPTURE(BM_ConflictGraphMedium, grid25,

@@ -8,7 +8,9 @@
 namespace csmabw::mac {
 
 Medium::Medium(sim::Simulator& sim, const PhyParams& phy)
-    : MediumBase(sim, phy) {}
+    : MediumBase(sim, phy),
+      pending_fire_(sim_.add_timer<&Medium::fire>(*this)),
+      pending_end_(sim_.add_timer<&Medium::end_occupation>(*this)) {}
 
 int Medium::register_station(DcfStation* s) {
   CSMABW_REQUIRE(s != nullptr, "null station");
@@ -63,13 +65,13 @@ void Medium::rescan_min() {
 }
 
 void Medium::sync_pending_fire() {
-  pending_fire_.cancel();
   if (min_slot_ < 0) {
+    sim_.disarm_timer(pending_fire_);
     return;
   }
   const TimeNs earliest = contenders_[static_cast<std::size_t>(min_slot_)].fire;
   CSMABW_REQUIRE(earliest >= sim_.now(), "fire time in the past");
-  pending_fire_ = sim_.schedule_member_at<&Medium::fire>(earliest, *this);
+  sim_.arm_timer(pending_fire_, earliest);
 }
 
 void Medium::reschedule_all() {
@@ -96,8 +98,8 @@ void Medium::fire() {
   // Partition the stations whose countdown completes exactly now (the
   // cache is authoritative while the medium is idle: every contention
   // change while idle refreshed it).
-  std::vector<DcfStation*> winners;
-  std::vector<DcfStation*> post_backoff_done;
+  winners_.clear();
+  post_backoff_done_.clear();
   for (std::size_t i = 0; i < stations_.size(); ++i) {
     const Contender& c = contenders_[i];
     if (!c.active || c.fire != now) {
@@ -105,15 +107,15 @@ void Medium::fire() {
     }
     DcfStation* s = stations_[i];
     if (s->has_frame()) {
-      winners.push_back(s);
+      winners_.push_back(s);
     } else {
-      post_backoff_done.push_back(s);
+      post_backoff_done_.push_back(s);
     }
   }
-  for (DcfStation* s : post_backoff_done) {
+  for (DcfStation* s : post_backoff_done_) {
     s->finish_post_backoff();
   }
-  if (winners.empty()) {
+  if (winners_.empty()) {
     reschedule_all();
     return;
   }
@@ -123,18 +125,20 @@ void Medium::fire() {
   // period that is ending now.
   for (DcfStation* s : stations_) {
     if (s->in_contention() &&
-        std::find(winners.begin(), winners.end(), s) == winners.end()) {
+        std::find(winners_.begin(), winners_.end(), s) == winners_.end()) {
       s->medium_seized(now, idle_start_);
     }
   }
 
-  begin_occupation(std::move(winners));
+  begin_occupation();
 }
 
-void Medium::begin_occupation(std::vector<DcfStation*> transmitters) {
+void Medium::begin_occupation() {
   const TimeNs now = sim_.now();
   busy_ = true;
-  transmitters_ = std::move(transmitters);
+  // transmitters_ is empty between occupations; the swap hands its
+  // buffer back to winners_ for the next fire().
+  transmitters_.swap(winners_);
   occupation_start_ = now;
   occupation_success_ = transmitters_.size() == 1;
 
@@ -178,8 +182,7 @@ void Medium::begin_occupation(std::vector<DcfStation*> transmitters) {
   }
   stats_.busy_time += occupation_end_ - occupation_start_;
 
-  pending_end_ =
-      sim_.schedule_member_at<&Medium::end_occupation>(occupation_end_, *this);
+  sim_.arm_timer(pending_end_, occupation_end_);
 }
 
 void Medium::end_occupation() {

@@ -126,15 +126,17 @@ class Medium : public MediumBase {
   [[nodiscard]] TimeNs fire_time(const DcfStation& s) const;
   void refresh_contender(int i, const DcfStation& s);
   void rescan_min();
-  /// Re-arms the pending fire event at the cached minimum (cancel +
-  /// fresh schedule, so the event-sequence numbering is identical to a
-  /// full recompute — determinism depends on it).
+  /// Re-arms the pending-fire timer at the cached minimum.  Every call
+  /// re-arms, even at an unchanged time: each arm takes a fresh event
+  /// sequence number, so the numbering is identical to a full recompute
+  /// — determinism depends on it.
   void sync_pending_fire();
   /// Recomputes every station's fire time (used when the idle origin
   /// moves for all of them at once).
   void reschedule_all();
   void fire();
-  void begin_occupation(std::vector<DcfStation*> transmitters);
+  /// Puts winners_ on the air (swapped into transmitters_).
+  void begin_occupation();
   void end_occupation();
 
   std::vector<DcfStation*> stations_;
@@ -143,8 +145,12 @@ class Medium : public MediumBase {
 
   bool busy_ = false;
   TimeNs idle_start_ = TimeNs::zero();
-  sim::EventHandle pending_fire_;
-  sim::EventHandle pending_end_;
+  sim::TimerId pending_fire_;  ///< fires at the earliest countdown end
+  sim::TimerId pending_end_;   ///< fires at the occupation end
+
+  // Scratch for fire(), reused so the hot path does not allocate.
+  std::vector<DcfStation*> winners_;
+  std::vector<DcfStation*> post_backoff_done_;
 
   // Current occupation.
   std::vector<DcfStation*> transmitters_;

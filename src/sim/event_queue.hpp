@@ -14,6 +14,10 @@ namespace csmabw::sim {
 
 class EventQueue;
 
+/// Identifies a re-armable timer of one EventQueue (see
+/// EventQueue::add_timer).
+using TimerId = std::uint32_t;
+
 /// Handle to a scheduled event; allows cancellation.
 ///
 /// A handle is a (slot, generation) pair into the queue's slab pool —
@@ -62,6 +66,17 @@ class EventHandle {
 /// slab: the slot is destroyed and recycled immediately.  When stale
 /// records outnumber live ones the heap is compacted in place, so a
 /// schedule/cancel churn workload stays bounded.
+///
+/// Re-armable timers (add_timer / arm / disarm) are the second kind of
+/// pending event: a registered (time, seq, callback) record that lives
+/// outside the heap, for a component that keeps exactly one pending
+/// occurrence and moves it on nearly every event (the media's pending
+/// fire and transmission end).  Arming draws its seq from the same
+/// counter as schedule(), and every dispatch loop runs whichever of the
+/// heap top and the earliest armed timer comes first in (time, seq)
+/// order — so replacing a cancel + schedule pair with one arm() yields
+/// exactly the same dispatch order, without the heap insert, the stale
+/// record and its later pop.  Armed timers count as live events.
 class EventQueue {
  public:
   /// Inline storage per event; fits every in-tree callback (lambdas
@@ -119,67 +134,118 @@ class EventQueue {
     return commit(at, idx);
   }
 
+  /// Registers a re-armable timer that calls `(obj.*Method)()` each
+  /// time it fires; it starts disarmed.  Timers are meant for a handful
+  /// of long-lived per-component slots (choosing the earliest one is a
+  /// scan over all of them), registered at setup: the timer table is not
+  /// part of the steady-state allocation count.  `obj` must stay alive
+  /// while the timer is armed.
+  template <auto Method, class T>
+  TimerId add_timer(T& obj) {
+    static_assert(std::is_invocable_r_v<void, decltype(Method), T&>,
+                  "Method must be callable on T with no arguments");
+    CSMABW_REQUIRE(timers_.size() < kSlotMask, "timer id space exhausted");
+    Timer t;
+    t.obj = &obj;
+    t.invoke = [](void* p) { (static_cast<T*>(p)->*Method)(); };
+    timers_.push_back(t);
+    return static_cast<TimerId>(timers_.size() - 1);
+  }
+
+  /// Arms timer `id` at `at`, replacing its pending time if it is
+  /// already armed.  Takes the next sequence number exactly as
+  /// schedule() does, so `arm(id, t)` orders against every other event
+  /// precisely like `cancel(); schedule(t, ...)` would have — even when
+  /// `t` equals the old time (re-arming at an unchanged time still moves
+  /// the timer behind equal-time events scheduled since).  O(timers).
+  void arm(TimerId id, TimeNs at) {
+    Timer& t = timer(id);
+    const std::uint64_t seq = next_seq_++;
+    CSMABW_REQUIRE(seq < kMaxSeq, "event sequence space exhausted");
+    if (!t.armed) {
+      t.armed = true;
+      ++live_;
+    }
+    t.rec = HeapRecord{at, seq << kSlotBits | id};
+    select_next_timer();
+  }
+
+  /// Disarms timer `id`; a no-op when it is not armed.  O(1) unless it
+  /// was the earliest armed timer (then O(timers)).
+  void disarm(TimerId id) {
+    Timer& t = timer(id);
+    if (!t.armed) {
+      return;
+    }
+    t.armed = false;
+    --live_;
+    if ((next_timer_.key & kSlotMask) == id) {
+      select_next_timer();
+    }
+  }
+
+  /// Whether timer `id` is armed.  A timer reads as disarmed inside its
+  /// own callback (until the callback re-arms it).
+  [[nodiscard]] bool armed(TimerId id) const { return timer(id).armed; }
+
   [[nodiscard]] bool empty() const { return live_ == 0; }
-  /// Live (scheduled, not cancelled) events.
+  /// Live events: scheduled and not cancelled, plus armed timers.
   [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Time of the earliest live event.  Requires !empty().
   [[nodiscard]] TimeNs next_time() const {
     CSMABW_REQUIRE(live_ > 0, "next_time() on an empty queue");
-    prune_top();
-    return heap_.front().at;
+    return heap_next() ? heap_.front().at : next_timer_.at;
   }
 
   /// Pops and runs the earliest live event; returns its time.
   /// Requires !empty().
   TimeNs pop_and_run() {
     CSMABW_REQUIRE(live_ > 0, "pop_and_run() on an empty queue");
-    for (;;) {
-      const HeapRecord rec = take_top();
-      if (stale_ != 0 && stale(rec)) {
-        --stale_;
-        continue;
-      }
-      return dispatch(rec);
-    }
+    return heap_next() ? dispatch(take_top()) : fire_timer();
   }
 
   /// Pops and runs the earliest live event, advancing `now` to its time
   /// first; returns false when the queue is empty.  The single-step
   /// building block for predicate-checked loops.
   bool step(TimeNs& now) {
-    while (live_ > 0) {
+    if (live_ == 0) {
+      return false;
+    }
+    if (heap_next()) {
       const HeapRecord rec = take_top();
-      if (stale_ != 0 && stale(rec)) {
-        --stale_;
-        continue;
-      }
       now = rec.at;
       dispatch(rec);
-      return true;
+    } else {
+      now = next_timer_.at;
+      fire_timer();
     }
-    return false;
+    return true;
   }
 
   /// Runs every event with time <= `deadline` in (time, seq) order,
   /// advancing `now` to each event's time before dispatch.  Returns the
   /// number of events run.  Batching the loop here (instead of the
   /// owner's empty()/next_time()/pop_and_run() dance) touches the heap
-  /// top once per event with no indirection.
+  /// top once per event with no indirection.  A timer armed past the
+  /// deadline stays armed.
   std::uint64_t run_until(TimeNs deadline, TimeNs& now) {
     std::uint64_t ran = 0;
     while (live_ > 0) {
-      if (stale_ != 0 && stale(heap_.front())) {
-        --stale_;
-        (void)take_top();
-        continue;
+      if (heap_next()) {
+        if (heap_.front().at > deadline) {
+          break;
+        }
+        const HeapRecord rec = take_top();
+        now = rec.at;
+        dispatch(rec);
+      } else {
+        if (next_timer_.at > deadline) {
+          break;
+        }
+        now = next_timer_.at;
+        fire_timer();
       }
-      if (heap_.front().at > deadline) {
-        break;
-      }
-      const HeapRecord rec = take_top();
-      now = rec.at;
-      dispatch(rec);
       ++ran;
     }
     return ran;
@@ -203,7 +269,8 @@ class EventQueue {
     return chunks_.size() * kChunkSlots;
   }
   /// Number of heap allocations the queue has performed (slab chunks +
-  /// heap-vector growth).  Constant across steady-state operation.
+  /// heap-vector growth; the setup-time timer table is not counted).
+  /// Constant across steady-state operation.
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
  private:
@@ -246,6 +313,19 @@ class EventQueue {
     std::uint64_t key;  ///< seq << kSlotBits | slot
   };
 
+  /// A registered timer.  While armed, `rec` holds its (time, seq)
+  /// position packed like a heap record, with the timer id in the slot
+  /// bits, so it compares against the heap top with earlier().
+  struct Timer {
+    HeapRecord rec{};
+    void* obj = nullptr;
+    void (*invoke)(void*) = nullptr;
+    bool armed = false;
+  };
+  /// next_timer_ when no timer is armed: after every heap record.
+  static constexpr HeapRecord kNoTimer{
+      TimeNs::ns(INT64_MAX), ~std::uint64_t{0}};
+
   static bool earlier(const HeapRecord& a, const HeapRecord& b) {
     if (a.at != b.at) {
       return a.at < b.at;
@@ -262,6 +342,50 @@ class EventQueue {
   [[nodiscard]] bool stale(const HeapRecord& r) const {
     const Slot& s = slot(static_cast<std::uint32_t>(r.key) & kSlotMask);
     return s.invoke == nullptr || s.seq != r.key >> kSlotBits;
+  }
+
+  [[nodiscard]] Timer& timer(TimerId id) {
+    CSMABW_REQUIRE(id < timers_.size(), "unknown timer id");
+    return timers_[id];
+  }
+  [[nodiscard]] const Timer& timer(TimerId id) const {
+    CSMABW_REQUIRE(id < timers_.size(), "unknown timer id");
+    return timers_[id];
+  }
+
+  /// Re-derives next_timer_, the earliest armed timer (kNoTimer if none).
+  void select_next_timer() {
+    next_timer_ = kNoTimer;
+    for (const Timer& t : timers_) {
+      if (t.armed && earlier(t.rec, next_timer_)) {
+        next_timer_ = t.rec;
+      }
+    }
+  }
+
+  /// Prunes stale records off the heap top, then says whether the heap
+  /// top (true) or the earliest armed timer (false) runs next.
+  /// Requires live_ > 0.
+  bool heap_next() const {
+    if (stale_ != 0) {
+      prune_top();
+    }
+    return !heap_.empty() && earlier(heap_.front(), next_timer_);
+  }
+
+  /// Runs the earliest armed timer; returns its time.  The timer is
+  /// disarmed before its callback runs, so the callback may re-arm it.
+  TimeNs fire_timer() {
+    const TimeNs at = next_timer_.at;
+    Timer& t = timers_[static_cast<std::uint32_t>(next_timer_.key) &
+                       kSlotMask];
+    t.armed = false;
+    --live_;
+    void* const obj = t.obj;
+    void (*const fn)(void*) = t.invoke;
+    select_next_timer();
+    fn(obj);
+    return at;
   }
 
   std::uint32_t acquire_slot() {
@@ -392,6 +516,8 @@ class EventQueue {
   void compact();
 
   mutable std::vector<HeapRecord> heap_;
+  std::vector<Timer> timers_;
+  HeapRecord next_timer_ = kNoTimer;  ///< earliest armed timer's record
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kInvalidSlot;
   std::uint32_t slots_used_ = 0;  ///< slots handed out at least once

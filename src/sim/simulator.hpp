@@ -22,7 +22,9 @@ namespace csmabw::sim {
 ///
 /// Scheduling is allocation-free: callbacks are moved into the pooled
 /// event queue's inline slots (see EventQueue), so the hot path of a
-/// large ensemble performs no per-event heap work.
+/// large ensemble performs no per-event heap work.  A component whose
+/// one pending occurrence moves on nearly every event re-arms a timer
+/// (add_timer / arm_timer) instead of cancelling and re-scheduling.
 class Simulator {
  public:
   [[nodiscard]] TimeNs now() const { return now_; }
@@ -41,11 +43,31 @@ class Simulator {
   }
   /// Schedules `(obj.*Method)()` at `at` — direct member-function
   /// dispatch on the pooled event, e.g.
-  /// `sim.schedule_member_at<&Medium::fire>(t, *this)`.
+  /// `sim.schedule_member_at<&PoissonSource::schedule_next>(t, *this)`.
   template <auto Method, class T>
   EventHandle schedule_member_at(TimeNs at, T& obj) {
     CSMABW_REQUIRE(at >= now_, "cannot schedule an event in the past");
     return queue_.schedule_member<Method>(at, obj);
+  }
+
+  /// Registers a re-armable timer calling `(obj.*Method)()`; it starts
+  /// disarmed.  Use a timer instead of an EventHandle for a component's
+  /// single pending occurrence that is moved on most events — see
+  /// EventQueue::add_timer.
+  template <auto Method, class T>
+  TimerId add_timer(T& obj) {
+    return queue_.add_timer<Method>(obj);
+  }
+  /// Arms (or re-arms) timer `id` at absolute time `at` (>= now()); the
+  /// same event order as cancelling and re-scheduling at `at`.
+  void arm_timer(TimerId id, TimeNs at) {
+    CSMABW_REQUIRE(at >= now_, "cannot arm a timer in the past");
+    queue_.arm(id, at);
+  }
+  /// Disarms timer `id`; a no-op when it is not armed.
+  void disarm_timer(TimerId id) { queue_.disarm(id); }
+  [[nodiscard]] bool timer_armed(TimerId id) const {
+    return queue_.armed(id);
   }
 
   /// Runs events with time <= `deadline`; afterwards now() == deadline.
@@ -71,6 +93,7 @@ class Simulator {
     return done();
   }
 
+  /// Scheduled events plus armed timers.
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   /// Heap allocations the event queue has performed so far (slab chunks

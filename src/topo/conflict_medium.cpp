@@ -11,7 +11,10 @@ namespace csmabw::topo {
 ConflictGraphMedium::ConflictGraphMedium(sim::Simulator& sim,
                                          const mac::PhyParams& phy,
                                          Topology topology)
-    : MediumBase(sim, phy), topo_(std::move(topology)) {
+    : MediumBase(sim, phy),
+      topo_(std::move(topology)),
+      pending_fire_(sim_.add_timer<&ConflictGraphMedium::fire>(*this)),
+      pending_end_(sim_.add_timer<&ConflictGraphMedium::advance>(*this)) {
   topo_.validate();
   sense_csr_ = CsrAdjacency(topo_.sense);
   interfere_csr_ = CsrAdjacency(topo_.interfere);
@@ -123,34 +126,33 @@ void ConflictGraphMedium::rescan_min() {
 }
 
 void ConflictGraphMedium::sync_pending_fire() {
-  pending_fire_.cancel();
   TimeNs earliest;
   if (dense_) {
     if (min_slot_ < 0) {
+      sim_.disarm_timer(pending_fire_);
       return;
     }
     earliest = fire_time_[static_cast<std::size_t>(min_slot_)];
   } else {
     if (fire_idx_.empty()) {
+      sim_.disarm_timer(pending_fire_);
       return;
     }
     earliest = fire_idx_.top_time();
   }
   CSMABW_REQUIRE(earliest >= sim_.now(), "fire time in the past");
   m_rearms_.add(1);
-  pending_fire_ =
-      sim_.schedule_member_at<&ConflictGraphMedium::fire>(earliest, *this);
+  sim_.arm_timer(pending_fire_, earliest);
 }
 
 void ConflictGraphMedium::sync_pending_end() {
-  pending_end_.cancel();
   if (end_idx_.empty()) {
+    sim_.disarm_timer(pending_end_);
     return;
   }
   const TimeNs earliest = end_idx_.top_time();
   CSMABW_REQUIRE(earliest >= sim_.now(), "transmission end in the past");
-  pending_end_ =
-      sim_.schedule_member_at<&ConflictGraphMedium::advance>(earliest, *this);
+  sim_.arm_timer(pending_end_, earliest);
 }
 
 void ConflictGraphMedium::mark_corrupted(Tx& t) {

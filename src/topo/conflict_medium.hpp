@@ -65,10 +65,12 @@ namespace csmabw::topo {
 /// covers direct construction, as in the microbench.)
 ///
 /// The event-sequence discipline is unchanged from the rescanning
-/// implementation: the pending fire/end events are still cancelled and
-/// re-armed at the same call sites with the same times, so event
-/// numbering — and therefore every .cctrace/CSV byte — is identical;
-/// only the cost of *finding* the minimum changed.
+/// implementation: the pending fire/end timers are re-armed (or
+/// disarmed) at the same call sites with the same times, and each arm
+/// takes one event sequence number exactly as a cancel + schedule
+/// would, so event numbering — and therefore every .cctrace/CSV byte —
+/// matches a full recompute; only the cost of *finding* the minimum
+/// changed.
 ///
 /// The hot path stays allocation-free after construction: the heaps,
 /// slabs and scratch lists are preallocated and transmission records
@@ -127,10 +129,11 @@ class ConflictGraphMedium : public mac::MediumBase {
   void refresh_node(int i);
   /// Dense path only: full O(N) rescan for the earliest live countdown.
   void rescan_min();
-  /// Re-arms the pending fire event at the fire index's minimum (cancel
-  /// + fresh schedule — the event-sequence discipline of mac::Medium).
+  /// Re-arms the pending-fire timer at the fire index's minimum (or
+  /// disarms it) — always a fresh arm, the event-sequence discipline of
+  /// mac::Medium.
   void sync_pending_fire();
-  /// Re-arms the pending end event at the end index's minimum.
+  /// Re-arms the pending-end timer at the end index's minimum.
   void sync_pending_end();
   void fire();
   void advance();
@@ -159,8 +162,8 @@ class ConflictGraphMedium : public mac::MediumBase {
   int min_slot_ = -1;              ///< argmin over can_fire_ of fire_time_
   /// Transmitting stations, keyed by their transmission's end.
   sim::TimerIndex end_idx_;
-  sim::EventHandle pending_fire_;
-  sim::EventHandle pending_end_;
+  sim::TimerId pending_fire_;  ///< runs fire() at fire_idx_'s minimum
+  sim::TimerId pending_end_;   ///< runs advance() at end_idx_'s minimum
 
   // Hot-path instrumentation (unbound by default: one branch each).
   obs::Counter m_updates_;  ///< topo.medium.updates

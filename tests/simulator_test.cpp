@@ -107,5 +107,61 @@ TEST(Simulator, CancelledEventsDoNotRun) {
   EXPECT_EQ(fired, 0);
 }
 
+struct TimerProbe {
+  Simulator* sim = nullptr;
+  std::vector<TimeNs> fired;
+  void fire() { fired.push_back(sim->now()); }
+};
+
+TEST(Simulator, RunUntilLeavesLaterTimerArmed) {
+  Simulator sim;
+  TimerProbe p{&sim, {}};
+  const TimerId id = sim.add_timer<&TimerProbe::fire>(p);
+  sim.arm_timer(id, TimeNs::us(30));
+  sim.run_until(TimeNs::us(20));
+  EXPECT_TRUE(p.fired.empty());
+  EXPECT_TRUE(sim.timer_armed(id));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(TimeNs::us(40));
+  EXPECT_EQ(p.fired, (std::vector<TimeNs>{TimeNs::us(30)}));
+  EXPECT_FALSE(sim.timer_armed(id));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_processed(), 1u);
+}
+
+TEST(Simulator, TimerDispatchesCountAsProcessed) {
+  Simulator sim;
+  TimerProbe p{&sim, {}};
+  const TimerId id = sim.add_timer<&TimerProbe::fire>(p);
+  sim.schedule_at(TimeNs::us(1), [&] { sim.arm_timer(id, TimeNs::us(2)); });
+  sim.schedule_at(TimeNs::us(3), [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(p.fired, (std::vector<TimeNs>{TimeNs::us(2)}));
+  EXPECT_EQ(sim.events_processed(), 3u);
+}
+
+TEST(Simulator, RunWhilePendingSeesTimers) {
+  Simulator sim;
+  TimerProbe p{&sim, {}};
+  const TimerId id = sim.add_timer<&TimerProbe::fire>(p);
+  sim.arm_timer(id, TimeNs::us(4));
+  EXPECT_TRUE(sim.run_while_pending([&] { return !p.fired.empty(); }));
+  EXPECT_EQ(sim.now(), TimeNs::us(4));
+}
+
+TEST(Simulator, PastTimerArmRejected) {
+  Simulator sim;
+  TimerProbe p{&sim, {}};
+  const TimerId id = sim.add_timer<&TimerProbe::fire>(p);
+  sim.run_until(TimeNs::us(20));
+  EXPECT_THROW(sim.arm_timer(id, TimeNs::us(15)), util::PreconditionError);
+  EXPECT_FALSE(sim.timer_armed(id));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.arm_timer(id, TimeNs::us(20));  // now itself is not the past
+  sim.run();
+  EXPECT_EQ(p.fired, (std::vector<TimeNs>{TimeNs::us(20)}));
+}
+
 }  // namespace
 }  // namespace csmabw::sim
