@@ -181,6 +181,9 @@ void init_serve_state(ServeState& st, const util::Args& args,
                       bench::ObsState& obs) {
   st.io.metrics = obs.metrics();
   st.io.profiler = obs.profiler();
+  // Engine-io runs tick per repetition from inside the engine, observed
+  // or served alike: the runner then carries no progress.
+  st.io.progress = progress;
   st.active = serve_flags_present(args);
   if (!st.active) {
     return;
@@ -244,7 +247,6 @@ void init_serve_state(ServeState& st, const util::Args& args,
   if (st.resume_set.size() > 0) {
     st.io.resume = &st.resume_set;
   }
-  st.io.progress = progress;
 }
 
 // stderr, like progress: stdout stays byte-identical whether results

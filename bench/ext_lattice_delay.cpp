@@ -14,6 +14,10 @@
 // One engine campaign through the standard campaign/trace/obs stack:
 // every (cell, repetition) is seeded from (campaign seed, cell index,
 // repetition) alone, so stdout is byte-identical for any --threads.
+// Each lattice side is a single work shard at the default repetition
+// counts, but the shard only fixes accumulation order: idle workers
+// steal its unstarted repetitions, so the 10k-station cell runs on as
+// many workers as it has repetitions instead of on one.
 // --metrics-out additionally captures the sparse medium's hot-path
 // counters (topo.medium.updates / neighborhood_sweeps / fire_rearms).
 #include <iostream>

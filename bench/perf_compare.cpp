@@ -14,7 +14,14 @@
 // baseline are reported and ignored; benchmarks missing from `current`
 // that the baseline gates are an error (the gate must not silently
 // shrink).
+//
+// A gated benchmark whose baseline records a `frames_per_iter` counter
+// (deterministic work per iteration) must report the same value in
+// `current`: when the work drifts, its time is no longer comparable and
+// the run fails as WORK DRIFT whatever the threshold.  With
+// --threshold=1 only that check can fail.
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -36,14 +43,17 @@ const char* kDefaultFamilies =
     "BM_TraceScanMmap,BM_TraceQueryPushdown,BM_TraceAggHistogram,"
     "BM_MetricsCounterHot,BM_ScopedSpan";
 
-/// Extracts {name -> items_per_second} from google-benchmark JSON.
+/// Extracts {name -> value of `key`} (a per-benchmark number such as
+/// "items_per_second" or a user counter) from google-benchmark JSON.
 ///
 /// Not a general JSON parser: the google-benchmark output format is one
 /// `"key": value` pair per line, with every benchmark object carrying a
 /// "name" before its metrics.  "run_name" is distinct from "name" and
-/// skipped.  The context block has no "items_per_second", so pairs
+/// skipped.  The context block carries no per-benchmark metric, so pairs
 /// associate unambiguously.
-std::map<std::string, double> read_items_per_second(const std::string& path) {
+std::map<std::string, double> read_metric(const std::string& path,
+                                          const std::string& key) {
+  const std::string quoted = "\"" + key + "\":";
   std::ifstream in(path);
   if (!in) {
     std::cerr << "perf_compare: cannot open " << path << "\n";
@@ -64,9 +74,10 @@ std::map<std::string, double> read_items_per_second(const std::string& path) {
       }
       continue;
     }
-    const auto ips_pos = line.find("\"items_per_second\":");
-    if (ips_pos != std::string::npos && !current_name.empty()) {
-      const double v = std::strtod(line.c_str() + ips_pos + 19, nullptr);
+    const auto pos = line.find(quoted);
+    if (pos != std::string::npos && !current_name.empty()) {
+      const double v =
+          std::strtod(line.c_str() + pos + quoted.size(), nullptr);
       out.emplace(current_name, v);  // first wins; names are unique
     }
   }
@@ -100,8 +111,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto baseline = read_items_per_second(baseline_path);
-  const auto current = read_items_per_second(current_path);
+  const auto baseline = read_metric(baseline_path, "items_per_second");
+  const auto current = read_metric(current_path, "items_per_second");
+  const auto base_work = read_metric(baseline_path, "frames_per_iter");
+  const auto work = read_metric(current_path, "frames_per_iter");
 
   int failures = 0;
   int compared = 0;
@@ -119,11 +132,27 @@ int main(int argc, char** argv) {
       continue;
     }
     const double ratio = it->second / base_ips;
-    const bool ok = ratio >= 1.0 - threshold;
+    const bool fast_enough = ratio >= 1.0 - threshold;
+    // Work counts are integers divided by the iteration count, so equal
+    // work reads back equal up to the JSON's printed precision.
+    // A missing counter reads as NaN, which never compares equal.
+    bool same_work = true;
+    if (const auto base = base_work.find(name); base != base_work.end()) {
+      const auto cur = work.find(name);
+      const double now = cur != work.end() ? cur->second : std::nan("");
+      same_work = std::fabs(now - base->second) <=
+                  1e-9 * std::fabs(base->second);
+      if (!same_work) {
+        std::printf("%-36s frames_per_iter %.17g -> %.17g\n", name.c_str(),
+                    base->second, now);
+      }
+    }
+    const char* status =
+        !same_work ? "WORK DRIFT" : fast_enough ? "ok" : "REGRESSION";
     std::printf("%-36s %12.3g %12.3g %6.2fx  %s\n", name.c_str(), base_ips,
-                it->second, ratio, ok ? "ok" : "REGRESSION");
+                it->second, ratio, status);
     ++compared;
-    if (!ok) {
+    if (!fast_enough || !same_work) {
       ++failures;
     }
   }
@@ -142,7 +171,7 @@ int main(int argc, char** argv) {
   if (failures > 0) {
     std::cerr << "perf_compare: " << failures
               << " benchmark(s) regressed beyond " << threshold * 100
-              << "% (vs " << baseline_path << ")\n";
+              << "% or changed their work (vs " << baseline_path << ")\n";
     return 1;
   }
   std::cout << "perf_compare: " << compared << " benchmark(s) within "

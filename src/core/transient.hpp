@@ -42,6 +42,10 @@ class TransientAnalyzer {
   /// before calling).
   void add_repetition(std::span<const double> access_delays_s);
 
+  /// Sizes raw-sample storage for `repetitions` (see
+  /// stats::EnsembleSeries::reserve).
+  void reserve(int repetitions) { series_.reserve(repetitions); }
+
   /// Merges another analyzer accumulated under an identical
   /// configuration (parallel ensemble shards; see exp::Runner).
   void merge(const TransientAnalyzer& other);

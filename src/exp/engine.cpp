@@ -1,8 +1,10 @@
 #include "exp/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "core/scenario.hpp"
@@ -21,11 +23,6 @@ struct Shard {
   int rep_begin = 0;
   int rep_end = 0;
 };
-
-core::TransientConfig transient_config_for(const Cell& cell,
-                                           const TrainCampaignConfig& cfg) {
-  return train_transient_config(cell.train.n, cfg);
-}
 
 /// The provenance header a recorded (cell, repetition) trace carries.
 trace::TraceMeta trace_meta_for(const Cell& cell, int repetition) {
@@ -149,15 +146,21 @@ std::optional<Record> serve_record(
 }
 
 /// Persists a freshly computed record to the cache and checkpoint and
-/// ticks it as computed work.
+/// ticks it as computed work.  `encode(payload)` appends the record's
+/// bytes; it only runs when a cache or checkpoint will keep them.
+template <typename Encode>
 void persist_record(const serve::CampaignServeOptions& io, const EngineObs& m,
                     int cell, int rep, const serve::CacheKey& key,
-                    std::vector<unsigned char> payload) {
-  if (io.cache != nullptr) {
-    io.cache->store(key, payload);
-  }
-  if (io.checkpoint != nullptr) {
-    io.checkpoint->add(cell, rep, std::move(payload));
+                    Encode&& encode) {
+  if (io.cache != nullptr || io.checkpoint != nullptr) {
+    std::vector<unsigned char> payload;
+    encode(payload);
+    if (io.cache != nullptr) {
+      io.cache->store(key, payload);
+    }
+    if (io.checkpoint != nullptr) {
+      io.checkpoint->add(cell, rep, std::move(payload));
+    }
   }
   m.computed.add();
   if (io.progress != nullptr) {
@@ -295,10 +298,10 @@ std::vector<MethodRun> run_method_campaign(
           run.wall_ns = obs::now_ns() - rep_start;
           m.rep_wall.observe(run.wall_ns);
         }
-        std::vector<unsigned char> payload;
-        serve::encode_method_record(run.report, payload);
         persist_record(io, m, job.cell_index, job.repetition, key,
-                       std::move(payload));
+                       [&run](std::vector<unsigned char>& payload) {
+                         serve::encode_method_record(run.report, payload);
+                       });
         return run;
       });
   if (io.checkpoint != nullptr) {
@@ -332,6 +335,89 @@ std::uint64_t train_campaign_fingerprint(const Campaign& campaign,
                                      extra);
 }
 
+namespace {
+
+/// A finished repetition on its way into its shard's accumulator.
+struct RepOutcome {
+  serve::TrainRepRecord record;
+  bool served = false;
+  std::int64_t sim_events = 0;  ///< computed repetitions only
+  std::int64_t wall_ns = 0;     ///< computed repetitions, when timed
+};
+
+/// Per-cell state shared by the cell's shards.
+struct CellRun {
+  /// Built by the cell's first computed repetition, shared read-only and
+  /// released once the cell's last shard is folded.
+  std::once_flag built;
+  std::optional<core::Scenario> scenario;
+  std::atomic<int> shards_left{0};
+  int reps = 0;  ///< repetitions in this process's shards
+};
+
+/// An empty accumulator for `cell`, sized for `reps` repetitions so that
+/// accumulating them never reallocates.
+TrainCellStats cell_stats(const Cell& cell, const TrainCampaignConfig& cfg,
+                          int reps) {
+  TrainCellStats stats(train_transient_config(cell.train.n, cfg));
+  stats.analyzer.reserve(reps);
+  if (cfg.sample_contender_queue) {
+    stats.queue_at_arrival.resize(
+        static_cast<std::size_t>(std::min(cfg.queue_prefix, cell.train.n)));
+  }
+  return stats;
+}
+
+/// A claimed shard.  Finished repetitions wait in `slots` until every
+/// earlier one has been folded into `stats`; the slots are freed once
+/// the last one is.
+struct ShardRun {
+  ShardRun(const Shard& shard, const Cell& cell,
+           const TrainCampaignConfig& cfg)
+      : next(shard.rep_begin),
+        end(shard.rep_end),
+        slots(static_cast<std::size_t>(end - next)),
+        stats(cell_stats(cell, cfg, end - next)) {}
+
+  /// The unstarted repetitions [next, end); guarded by the pool lock.
+  int next;
+  int end;
+  std::mutex mu;  ///< guards the members below
+  std::vector<std::optional<RepOutcome>> slots;  ///< by rep - rep_begin
+  std::size_t folded = 0;
+  TrainCellStats stats;
+};
+
+/// Folds one repetition into a shard accumulator.
+void accumulate(TrainCellStats& stats, const RepOutcome& rep) {
+  if (rep.served) {
+    ++stats.obs.cached;
+  } else {
+    ++stats.obs.computed;
+    stats.obs.sim_events += rep.sim_events;
+    stats.obs.wall_ns += rep.wall_ns;
+  }
+  const serve::TrainRepRecord& record = rep.record;
+  if (record.dropped) {
+    ++stats.dropped;
+    return;
+  }
+  stats.analyzer.add_repetition(record.access_delays_s);
+  stats.output_gap_s.add(record.output_gap_s);
+  CSMABW_REQUIRE(
+      record.queue_at_arrival.size() >= stats.queue_at_arrival.size(),
+      "served record has fewer queue samples than the campaign config "
+      "expects");
+  for (std::size_t i = 0; i < stats.queue_at_arrival.size(); ++i) {
+    stats.queue_at_arrival[i].add(record.queue_at_arrival[i]);
+  }
+  ++stats.used;
+}
+
+constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
+
+}  // namespace
+
 std::vector<TrainCellStats> run_train_campaign(
     const Campaign& campaign, const TrainCampaignConfig& cfg,
     const Runner& runner, const serve::CampaignServeOptions& io) {
@@ -343,112 +429,200 @@ std::vector<TrainCellStats> run_train_campaign(
     // Once, before the pool starts: workers only create files inside.
     std::filesystem::create_directories(trace_dir);
   }
+  const auto cell_of = [&](std::size_t s) -> const Cell& {
+    return campaign.cells()[static_cast<std::size_t>(shards[s].cell_index)];
+  };
 
-  // Each shard accumulates independently; merging in shard order keeps
-  // raw-sample order identical to a serial run and the merged moments
-  // independent of which worker ran which shard.  Repetitions served
-  // from the resume set or the cache feed the accumulators the exact
-  // double bits a live run would have, so where a record came from
-  // never shows in the output.
-  std::vector<std::unique_ptr<TrainCellStats>> shard_stats(shards.size());
-  runner.for_each(static_cast<int>(shards.size()), [&](int s) {
-    const Shard& shard = shards[static_cast<std::size_t>(s)];
-    const Cell& cell =
-        campaign.cells()[static_cast<std::size_t>(shard.cell_index)];
-    auto stats = std::make_unique<TrainCellStats>(
-        transient_config_for(cell, cfg));
-    if (cfg.sample_contender_queue) {
-      stats->queue_at_arrival.resize(static_cast<std::size_t>(
-          std::min(cfg.queue_prefix, cell.train.n)));
+  // The shard is the unit of accumulation, the repetition the unit of
+  // scheduling.  A worker claims a whole unclaimed shard and runs it
+  // front to back; once every shard is claimed, idle workers steal
+  // unstarted repetitions from the back of the running shard with the
+  // most left, so the slowest shard no longer sets the wall time.  A
+  // finished repetition goes into its shard's reorder slot, and whoever
+  // fills the next slot in order folds the ready prefix into the shard's
+  // accumulator.  Every shard thus accumulates its repetitions in order,
+  // as a serial run would; merging in shard order then keeps raw-sample
+  // order identical to a serial run and the merged moments independent
+  // of which worker ran which repetition.  Repetitions served from the
+  // resume set or the cache feed the accumulators the exact double bits
+  // a live run would have, so where a record came from never shows in
+  // the output.
+  std::vector<std::unique_ptr<ShardRun>> runs(shards.size());  // claimed
+  std::vector<CellRun> cells(campaign.cells().size());
+  std::vector<std::size_t> todo;  // this process's shards, in order
+  std::int64_t todo_reps = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (io.shard.selects(static_cast<int>(s))) {
+      todo.push_back(s);
+      const int reps = shards[s].rep_end - shards[s].rep_begin;
+      todo_reps += reps;
+      CellRun& cr = cells[static_cast<std::size_t>(shards[s].cell_index)];
+      ++cr.shards_left;
+      cr.reps += reps;
     }
-    if (!io.shard.selects(s)) {
-      // Another process's slice: contribute an empty accumulator so the
-      // shard-ordered merge below stays uniform.
-      shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
-      return;
-    }
+  }
+  // The runner's progress, if any, counts work shards: other processes'
+  // shards tick here, this process's as each one is folded.
+  Progress* const shard_progress = runner.progress();
+  if (shard_progress != nullptr && todo.size() < shards.size()) {
+    shard_progress->tick(
+        static_cast<std::int64_t>(shards.size() - todo.size()));
+  }
 
-    // Built lazily: a fully served shard never constructs the scenario.
-    std::optional<core::Scenario> scenario;
-    for (int rep = shard.rep_begin; rep < shard.rep_end; ++rep) {
-      serve::CacheKey key;
-      if (io.cache != nullptr) {  // keys are only ever used by the cache
-        key = serve::train_rep_key(cell.scenario, cell.train,
-                                   cfg.sample_contender_queue, rep);
-      }
-      serve::TrainRepRecord record;
-      if (std::optional<serve::TrainRepRecord> served =
-              serve_record<serve::TrainRepRecord>(
-                  io, m, cell.index, rep, key,
-                  &serve::decode_train_record)) {
-        record = std::move(*served);
-        ++stats->obs.cached;
-      } else {
-        if (io.forbid_compute) {
-          missing_record(cell.index, rep);
-        }
-        obs::ScopedSpan span(io.profiler, "exp.rep");
-        span.arg("cell", cell.index);
-        span.arg("rep", rep);
-        const std::int64_t rep_start = m.timing ? obs::now_ns() : 0;
-        if (!scenario.has_value()) {
-          obs::ScopedSpan build(io.profiler, "exp.scenario.build");
-          scenario.emplace(cell.scenario);
-        }
-        std::unique_ptr<trace::TraceWriter> writer;
-        if (!trace_dir.empty()) {
-          writer = std::make_unique<trace::TraceWriter>(
-              trace::train_trace_path(trace_dir, cell.index, rep),
-              trace_meta_for(cell, rep));
-        }
-        const core::TrainRun run =
-            scenario->run_train(cell.train, static_cast<std::uint64_t>(rep),
-                                cfg.sample_contender_queue, writer.get(),
-                                io.metrics);
-        if (writer != nullptr) {
-          writer->close();  // surface write errors here, not in ~TraceWriter
-        }
-        record.dropped = run.any_dropped;
-        if (!run.any_dropped) {
-          record.access_delays_s = run.access_delays_s();
-          record.output_gap_s = run.output_gap_s();
-          record.queue_at_arrival = run.contender_queue_at_arrival;
-        }
-        const auto events = static_cast<std::int64_t>(run.sim_events);
-        m.sim_events.add(events);
-        m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
-        m.slot_capacity.sample(
-            static_cast<std::int64_t>(run.sim_slot_capacity));
-        m.rep_events.observe(events);
-        span.arg("events", events);
-        ++stats->obs.computed;
-        stats->obs.sim_events += events;
-        if (m.timing) {
-          const std::int64_t wall = obs::now_ns() - rep_start;
-          stats->obs.wall_ns += wall;
-          m.rep_wall.observe(wall);
-        }
-        std::vector<unsigned char> payload;
-        serve::encode_train_record(record, payload);
-        persist_record(io, m, cell.index, rep, key, std::move(payload));
-      }
-      if (record.dropped) {
-        ++stats->dropped;
-        continue;
-      }
-      stats->analyzer.add_repetition(record.access_delays_s);
-      stats->output_gap_s.add(record.output_gap_s);
-      CSMABW_REQUIRE(
-          record.queue_at_arrival.size() >= stats->queue_at_arrival.size(),
-          "served record has fewer queue samples than the campaign "
-          "config expects");
-      for (std::size_t i = 0; i < stats->queue_at_arrival.size(); ++i) {
-        stats->queue_at_arrival[i].add(record.queue_at_arrival[i]);
-      }
-      ++stats->used;
+  // Guards the claim cursor, every claimed shard's unstarted range and
+  // the list of claimed shards that still have unstarted repetitions.
+  std::mutex pool_mu;
+  std::size_t next_todo = 0;
+  std::vector<std::size_t> stealable;
+  bool aborted = false;
+
+  // Sets (s, rep) to the next repetition for a worker that owns shard
+  // `own` (kNoShard: none); false once no unstarted repetition is left.
+  const auto claim = [&](std::size_t& own, std::size_t& s, int& rep) {
+    const std::scoped_lock lock(pool_mu);
+    if (aborted) {
+      return false;
     }
-    shard_stats[static_cast<std::size_t>(s)] = std::move(stats);
-  });
+    if (own != kNoShard && runs[own]->next == runs[own]->end) {
+      own = kNoShard;  // finished, or its tail was stolen
+    }
+    if (own == kNoShard && next_todo < todo.size()) {
+      own = todo[next_todo++];
+      runs[own] = std::make_unique<ShardRun>(shards[own], cell_of(own), cfg);
+      stealable.push_back(own);
+    }
+    const auto left = [&](std::size_t v) {
+      return runs[v]->end - runs[v]->next;
+    };
+    if (own != kNoShard) {
+      s = own;
+      rep = runs[s]->next++;
+    } else if (!stealable.empty()) {
+      s = *std::max_element(
+          stealable.begin(), stealable.end(),
+          [&](std::size_t a, std::size_t b) { return left(a) < left(b); });
+      rep = --runs[s]->end;
+    } else {
+      return false;
+    }
+    if (left(s) == 0) {
+      stealable.erase(std::find(stealable.begin(), stealable.end(), s));
+    }
+    return true;
+  };
+
+  const auto run_rep = [&](std::size_t s, int rep) {
+    const Cell& cell = cell_of(s);
+    RepOutcome out;
+    serve::CacheKey key;
+    if (io.cache != nullptr) {  // keys are only ever used by the cache
+      key = serve::train_rep_key(cell.scenario, cell.train,
+                                 cfg.sample_contender_queue, rep);
+    }
+    if (std::optional<serve::TrainRepRecord> served =
+            serve_record<serve::TrainRepRecord>(io, m, cell.index, rep, key,
+                                                &serve::decode_train_record)) {
+      out.record = std::move(*served);
+      out.served = true;
+      return out;
+    }
+    if (io.forbid_compute) {
+      missing_record(cell.index, rep);
+    }
+    obs::ScopedSpan span(io.profiler, "exp.rep");
+    span.arg("cell", cell.index);
+    span.arg("rep", rep);
+    const std::int64_t rep_start = m.timing ? obs::now_ns() : 0;
+    // Built lazily: a fully served cell never constructs the scenario.
+    CellRun& cr = cells[static_cast<std::size_t>(cell.index)];
+    std::call_once(cr.built, [&] {
+      obs::ScopedSpan build(io.profiler, "exp.scenario.build");
+      cr.scenario.emplace(cell.scenario);
+    });
+    std::unique_ptr<trace::TraceWriter> writer;
+    if (!trace_dir.empty()) {
+      writer = std::make_unique<trace::TraceWriter>(
+          trace::train_trace_path(trace_dir, cell.index, rep),
+          trace_meta_for(cell, rep));
+    }
+    core::TrainRun run =
+        cr.scenario->run_train(cell.train, static_cast<std::uint64_t>(rep),
+                               cfg.sample_contender_queue, writer.get(),
+                               io.metrics);
+    if (writer != nullptr) {
+      writer->close();  // surface write errors here, not in ~TraceWriter
+    }
+    serve::TrainRepRecord& record = out.record;
+    record.dropped = run.any_dropped;
+    if (!run.any_dropped) {
+      record.access_delays_s = run.access_delays_s();
+      record.output_gap_s = run.output_gap_s();
+      record.queue_at_arrival = std::move(run.contender_queue_at_arrival);
+    }
+    out.sim_events = static_cast<std::int64_t>(run.sim_events);
+    m.sim_events.add(out.sim_events);
+    m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
+    m.slot_capacity.sample(static_cast<std::int64_t>(run.sim_slot_capacity));
+    m.rep_events.observe(out.sim_events);
+    span.arg("events", out.sim_events);
+    if (m.timing) {
+      out.wall_ns = obs::now_ns() - rep_start;
+      m.rep_wall.observe(out.wall_ns);
+    }
+    persist_record(io, m, cell.index, rep, key,
+                   [&record](std::vector<unsigned char>& payload) {
+                     serve::encode_train_record(record, payload);
+                   });
+    return out;
+  };
+
+  // Files a finished repetition and folds the ready prefix; whoever
+  // folds a shard's last repetition retires the shard and, with the
+  // cell's last shard, the cell's scenario.
+  const auto deposit = [&](std::size_t s, int rep, RepOutcome out) {
+    ShardRun& run = *runs[s];
+    {
+      const std::scoped_lock lock(run.mu);
+      run.slots[static_cast<std::size_t>(rep - shards[s].rep_begin)] =
+          std::move(out);
+      while (run.folded < run.slots.size() && run.slots[run.folded]) {
+        accumulate(run.stats, *run.slots[run.folded]);
+        run.slots[run.folded].reset();
+        ++run.folded;
+      }
+      if (run.folded < run.slots.size()) {
+        return;
+      }
+      run.slots = {};
+    }
+    CellRun& cr = cells[static_cast<std::size_t>(shards[s].cell_index)];
+    if (--cr.shards_left == 0) {
+      cr.scenario.reset();
+    }
+    if (shard_progress != nullptr) {
+      shard_progress->tick();
+    }
+  };
+
+  // The caller's runner sizes the pool; its progress is ticked per
+  // folded shard above, not per worker.
+  const Runner pool(RunnerOptions{runner.threads(), nullptr});
+  pool.for_each(
+      static_cast<int>(std::min<std::int64_t>(runner.threads(), todo_reps)),
+      [&](int) {
+        std::size_t own = kNoShard;
+        std::size_t s = 0;
+        int rep = 0;
+        try {
+          while (claim(own, s, rep)) {
+            deposit(s, rep, run_rep(s, rep));
+          }
+        } catch (...) {
+          const std::scoped_lock lock(pool_mu);
+          aborted = true;  // the other workers stop at their next claim
+          throw;
+        }
+      });
   if (io.checkpoint != nullptr) {
     io.checkpoint->flush();
   }
@@ -457,18 +631,17 @@ std::vector<TrainCellStats> run_train_campaign(
   std::vector<TrainCellStats> merged;
   merged.reserve(campaign.cells().size());
   for (const Cell& cell : campaign.cells()) {
-    merged.emplace_back(transient_config_for(cell, cfg));
+    const int reps = cells[static_cast<std::size_t>(cell.index)].reps;
+    merged.push_back(cell_stats(cell, cfg, reps));
     merged.back().obs.cell = cell.index;
-    if (cfg.sample_contender_queue) {
-      merged.back().queue_at_arrival.resize(static_cast<std::size_t>(
-          std::min(cfg.queue_prefix, cell.train.n)));
-    }
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    const Shard& shard = shards[s];
+    if (runs[s] == nullptr) {
+      continue;  // another process's slice; merging nothing is a no-op
+    }
     TrainCellStats& dst =
-        merged[static_cast<std::size_t>(shard.cell_index)];
-    const TrainCellStats& src = *shard_stats[s];
+        merged[static_cast<std::size_t>(shards[s].cell_index)];
+    const TrainCellStats& src = runs[s]->stats;
     dst.analyzer.merge(src.analyzer);
     dst.output_gap_s.merge(src.output_gap_s);
     for (std::size_t i = 0; i < dst.queue_at_arrival.size(); ++i) {

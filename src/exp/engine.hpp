@@ -30,10 +30,15 @@ struct TrainCampaignConfig {
   /// per-index stats for the first `queue_prefix` packets.
   bool sample_contender_queue = false;
   int queue_prefix = 0;
-  /// Repetitions per work shard.  The shard decomposition is part of the
-  /// campaign's deterministic contract: results are merged in shard
-  /// order, so output is bit-identical for any thread count (and any
-  /// shard size, up to floating-point association in merged moments).
+  /// Repetitions per accumulation shard.  Each shard folds its
+  /// repetitions in order and shards merge in shard order, so the
+  /// decomposition fixes the floating-point association of the merged
+  /// moments: output is bit-identical for any thread count, and agrees
+  /// across shard sizes only up to that association.  It is also the
+  /// unit of `--shard=I/N` selection, of checkpoint files and of the
+  /// campaign fingerprint.  It is not the unit of scheduling: workers
+  /// claim whole shards but steal single repetitions, so a cell with
+  /// one shard still runs on every idle worker.
   int shard_size = 64;
 };
 
@@ -72,7 +77,10 @@ struct TrainCellStats {
 
 /// Runs every cell's repetition ensemble across the runner's worker
 /// pool and returns merged per-cell statistics, indexed like
-/// `campaign.cells()`.  When the campaign carries a trace_dir, every
+/// `campaign.cells()`.  Workers claim whole shards and, once none is
+/// left, steal unstarted repetitions from the back of running ones; an
+/// exception thrown by any repetition stops the claims and is rethrown
+/// here.  When the campaign carries a trace_dir, every
 /// (cell, repetition) is additionally recorded as a binary event trace
 /// (one file per repetition, deterministic names) for offline replay.
 ///
@@ -105,8 +113,10 @@ struct TrainCellStats {
 [[nodiscard]] std::uint64_t train_campaign_fingerprint(
     const Campaign& campaign, const TrainCampaignConfig& cfg);
 
-/// Counts the work shards `run_train_campaign` will execute (the job
-/// total to hand a Progress reporter).
+/// Counts the work shards `run_train_campaign` will execute: the job
+/// total to hand a Progress reporter the Runner carries (ticked once per
+/// completed shard).  Serve-option progress ticks per repetition
+/// instead; hand it `campaign.total_repetitions()`.
 [[nodiscard]] int count_train_shards(const Campaign& campaign,
                                      const TrainCampaignConfig& cfg);
 

@@ -33,6 +33,8 @@ class Runner {
   explicit Runner(RunnerOptions opts = {});
 
   [[nodiscard]] int threads() const { return threads_; }
+  /// The reporter ticked once per completed job (null for none).
+  [[nodiscard]] Progress* progress() const { return progress_; }
 
   /// Runs fn(i) for every i in [0, jobs).  Taken by value and moved, so
   /// passing an rvalue lambda never copies its captures.

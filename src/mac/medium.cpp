@@ -164,7 +164,7 @@ void Medium::begin_occupation() {
                              phy_.cts_tx_time() + phy_.sifs +
                              s->head_frame_airtime();
     }
-    occupation_end_ = occupation_data_end_ + phy_.sifs + phy_.ack_tx_time();
+    occupation_end_ = occupation_data_end_ + phy_.sifs + ack_tx_time_;
     ++stats_.successes;
   } else {
     occupation_end_ = occupation_data_end_;
@@ -201,8 +201,8 @@ void Medium::end_occupation() {
       s->tx_succeeded(occupation_data_end_, now);
     } else {
       const TimeNs timeout = phy_.uses_rts(s->head_frame_bytes())
-                                 ? phy_.cts_timeout()
-                                 : phy_.ack_timeout();
+                                 ? cts_timeout_
+                                 : ack_timeout_;
       s->tx_collided(tx_data_ends_[i] + timeout);
     }
   }

@@ -38,9 +38,12 @@ struct MediumStats {
 class MediumBase {
  public:
   MediumBase(sim::Simulator& sim, const PhyParams& phy)
-      : sim_(sim), phy_(phy) {
-    phy_.validate();
-  }
+      : sim_(sim),
+        phy_(validated(phy)),
+        ack_tx_time_(phy_.ack_tx_time()),
+        ack_timeout_(phy_.ack_timeout()),
+        cts_timeout_(phy_.cts_timeout()),
+        eifs_(phy_.eifs()) {}
   virtual ~MediumBase() = default;
 
   MediumBase(const MediumBase&) = delete;
@@ -66,13 +69,28 @@ class MediumBase {
   virtual void bind_metrics(obs::Registry* reg) { (void)reg; }
 
   [[nodiscard]] const PhyParams& phy() const { return phy_; }
+  /// phy().eifs(), computed once.
+  [[nodiscard]] TimeNs eifs() const { return eifs_; }
   [[nodiscard]] const MediumStats& stats() const { return stats_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  protected:
   sim::Simulator& sim_;
   PhyParams phy_;
+  // Control-frame timings the hot path reads on every transmission,
+  // derived once from phy_ (declared after it, so they initialise from
+  // it) instead of recomputed in floating point per frame.
+  TimeNs ack_tx_time_;
+  TimeNs ack_timeout_;
+  TimeNs cts_timeout_;
+  TimeNs eifs_;
   MediumStats stats_;
+
+ private:
+  static const PhyParams& validated(const PhyParams& phy) {
+    phy.validate();
+    return phy;
+  }
 };
 
 /// Single-collision-domain CSMA/CA medium.

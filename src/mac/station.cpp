@@ -52,12 +52,18 @@ int DcfStation::head_frame_bytes() const {
 }
 
 TimeNs DcfStation::head_frame_airtime() const {
-  return phy_.data_tx_time_at(head_frame_bytes(), data_rate_bps_);
+  const int bytes = head_frame_bytes();
+  if (bytes != airtime_bytes_) {
+    airtime_bytes_ = bytes;
+    airtime_ = phy_.data_tx_time_at(bytes, data_rate_bps_);
+  }
+  return airtime_;
 }
 
 void DcfStation::set_data_rate_bps(double rate_bps) {
   CSMABW_REQUIRE(rate_bps > 0.0, "data rate must be positive");
   data_rate_bps_ = rate_bps;
+  airtime_bytes_ = 0;  // the cached airtime was at the old rate
 }
 
 void DcfStation::enqueue(Packet p) {
@@ -236,7 +242,7 @@ void DcfStation::occupation_observed(bool collision) {
   if (state_ != State::kContending) {
     return;
   }
-  defer_ = (collision && phy_.use_eifs) ? phy_.eifs() : phy_.difs();
+  defer_ = (collision && phy_.use_eifs) ? medium_.eifs() : phy_.difs();
   emit(trace::EventKind::kBackoffResume, nullptr, backoff_slots_,
        sim_.now() + defer_);
 }

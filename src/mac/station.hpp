@@ -123,6 +123,10 @@ class DcfStation {
   stats::Rng rng_;
   const PhyParams& phy_;
   double data_rate_bps_;
+  /// head_frame_airtime() of the last head frame size seen (0: none), so
+  /// back-to-back frames of one size skip the floating-point airtime.
+  mutable int airtime_bytes_ = 0;
+  mutable TimeNs airtime_;
 
   std::deque<Packet> queue_;
   State state_ = State::kIdle;

@@ -157,7 +157,8 @@ class EventQueue {
   /// schedule() does, so `arm(id, t)` orders against every other event
   /// precisely like `cancel(); schedule(t, ...)` would have — even when
   /// `t` equals the old time (re-arming at an unchanged time still moves
-  /// the timer behind equal-time events scheduled since).  O(timers).
+  /// the timer behind equal-time events scheduled since).  O(1) unless it
+  /// moves the earliest armed timer later (then O(timers)).
   void arm(TimerId id, TimeNs at) {
     Timer& t = timer(id);
     const std::uint64_t seq = next_seq_++;
@@ -167,7 +168,11 @@ class EventQueue {
       ++live_;
     }
     t.rec = HeapRecord{at, seq << kSlotBits | id};
-    select_next_timer();
+    if (earlier(t.rec, next_timer_)) {
+      next_timer_ = t.rec;
+    } else if ((next_timer_.key & kSlotMask) == id) {
+      select_next_timer();  // the earliest timer moved later
+    }
   }
 
   /// Disarms timer `id`; a no-op when it is not armed.  O(1) unless it

@@ -53,6 +53,17 @@ void EnsembleSeries::add_repetition(std::span<const double> values) {
   ++reps_;
 }
 
+void EnsembleSeries::reserve(int repetitions) {
+  const auto reps = static_cast<std::size_t>(std::max(repetitions, 0));
+  for (auto& raw : raw_) {
+    raw.reserve(reps);
+  }
+  for (auto& raw : extra_raw_) {
+    raw.reserve(reps);
+  }
+  steady_pool_.reserve(reps * static_cast<std::size_t>(steady_tail_));
+}
+
 void EnsembleSeries::merge(const EnsembleSeries& other) {
   CSMABW_REQUIRE(other.length_ == length_ && other.raw_prefix_ == raw_prefix_ &&
                      other.steady_tail_ == steady_tail_ &&

@@ -31,6 +31,11 @@ class EnsembleSeries {
 
   void add_repetition(std::span<const double> values);
 
+  /// Sizes the raw-sample and steady-pool storage for `repetitions` in
+  /// total, so accumulating or merging up to that many never
+  /// reallocates (values are unaffected).
+  void reserve(int repetitions);
+
   /// Merges a shard accumulated over the same (length, raw_prefix,
   /// steady_tail) configuration.  Raw samples and the steady pool are
   /// appended in call order, so merging shards of repetitions

@@ -258,7 +258,7 @@ void ConflictGraphMedium::fire() {
                            phy_.cts_tx_time() + phy_.sifs +
                            s->head_frame_airtime()
                      : t.first_end;
-    t.success_end = t.data_end + phy_.sifs + phy_.ack_tx_time();
+    t.success_end = t.data_end + phy_.sifs + ack_tx_time_;
     s->tx_started(now);
     tx_state_[static_cast<std::size_t>(w)] =
         static_cast<std::int32_t>(txs_.size());
@@ -384,7 +384,7 @@ void ConflictGraphMedium::advance() {
     mac::DcfStation* s = stations_[static_cast<std::size_t>(t.station)];
     if (t.corrupted) {
       s->tx_collided(t.first_end +
-                     (t.rts ? phy_.cts_timeout() : phy_.ack_timeout()));
+                     (t.rts ? cts_timeout_ : ack_timeout_));
     } else {
       ++stats_.successes;
       s->tx_succeeded(t.data_end, now);
