@@ -24,8 +24,8 @@
 // event trace (DIR/cell-CCCCC-rep-RRRRRR.cctrace) for offline replay
 // with trace_tool; recording never changes the campaign's results.
 // The directory is created but never cleared — record different
-// campaigns into different directories (trace_tool replay-stats rejects
-// mixed recordings).
+// campaigns into different directories (`trace_tool query --agg=delay`
+// rejects mixed recordings).
 //
 // Fleet-scale serving (src/serve/):
 //   --cache=DIR           consult/fill a content-addressed result cache;
@@ -85,7 +85,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 
 #include "bench_common.hpp"
@@ -177,13 +176,9 @@ bool serve_flags_present(const util::Args& args) {
 // exact values with or without --metrics-out).
 void init_serve_state(ServeState& st, const util::Args& args,
                       serve::CampaignKind kind, std::uint64_t fingerprint,
-                      std::uint64_t seed, exp::Progress* progress,
-                      bench::ObsState& obs) {
+                      std::uint64_t seed, bench::ObsState& obs) {
   st.io.metrics = obs.metrics();
   st.io.profiler = obs.profiler();
-  // Engine-io runs tick per repetition from inside the engine, observed
-  // or served alike: the runner then carries no progress.
-  st.io.progress = progress;
   st.active = serve_flags_present(args);
   if (!st.active) {
     return;
@@ -276,18 +271,20 @@ int run_method_sweep(const exp::Campaign& campaign, const util::Args& args,
   // carries no io options); output is byte-identical either way.
   const bool engine_io = serving || obs.metrics() != nullptr ||
                          obs.profiler() != nullptr;
-  exp::Progress progress(exp::count_method_runs(campaign), "methods",
-                         bench::progress_enabled(args));
+  ServeState st;
+  init_serve_state(st, args, serve::CampaignKind::kMethod,
+                   serving ? exp::method_campaign_fingerprint(campaign) : 0,
+                   seed, obs);
+  // Only this process's slice of the jobs ticks.
+  exp::Progress progress(exp::count_method_runs(campaign, st.io.shard),
+                         "methods", bench::progress_enabled(args));
   // When serving, the engine ticks per repetition (cached vs computed);
   // the runner must not tick the same jobs again.
+  st.io.progress = &progress;
   const exp::Runner runner =
       bench::runner_from(args, engine_io ? nullptr : &progress);
   // stderr, not stdout: stdout must stay byte-identical across --threads.
   std::cerr << "# threads: " << runner.threads() << "\n";
-  ServeState st;
-  init_serve_state(st, args, serve::CampaignKind::kMethod,
-                   serving ? exp::method_campaign_fingerprint(campaign) : 0,
-                   seed, &progress, obs);
   const std::vector<exp::MethodRun> runs =
       engine_io ? exp::run_method_campaign(campaign,
                                            exp::MethodCampaignConfig{},
@@ -468,21 +465,24 @@ int main(int argc, char** argv) {
   // carries no io options); output is byte-identical either way.
   const bool engine_io = serving || obs.metrics() != nullptr ||
                          obs.profiler() != nullptr;
-  // Serving runs tick per repetition from inside the engine (so cached
-  // repetitions stay out of the ETA); classic runs keep the coarser
-  // per-work-shard ticks through the runner.
-  exp::Progress progress(engine_io ? campaign.total_repetitions()
-                                   : exp::count_train_shards(campaign, tcfg),
-                         "campaign", bench::progress_enabled(args));
-  const exp::Runner runner =
-      bench::runner_from(args, engine_io ? nullptr : &progress);
-  // stderr, not stdout: stdout must stay byte-identical across --threads.
-  std::cerr << "# threads: " << runner.threads() << "\n";
   ServeState st;
   init_serve_state(
       st, args, serve::CampaignKind::kTrain,
       serving ? exp::train_campaign_fingerprint(campaign, tcfg) : 0,
-      spec.campaign_seed, &progress, obs);
+      spec.campaign_seed, obs);
+  // Serving runs tick each repetition of this process's slice from
+  // inside the engine (so cached repetitions stay out of the ETA);
+  // classic runs keep the coarser per-work-shard ticks through the
+  // runner.
+  exp::Progress progress(
+      engine_io ? exp::count_train_reps(campaign, tcfg, st.io.shard)
+                : exp::count_train_shards(campaign, tcfg),
+      "campaign", bench::progress_enabled(args));
+  st.io.progress = &progress;
+  const exp::Runner runner =
+      bench::runner_from(args, engine_io ? nullptr : &progress);
+  // stderr, not stdout: stdout must stay byte-identical across --threads.
+  std::cerr << "# threads: " << runner.threads() << "\n";
   const auto results =
       engine_io ? exp::run_train_campaign(campaign, tcfg, runner, st.io)
                 : exp::run_train_campaign(campaign, tcfg, runner);
@@ -504,13 +504,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<std::string> columns = exp::Collector::cell_columns();
-  for (const char* metric :
-       {"reps_used", "dropped", "mean_gap_ms", "measured_rate_mbps",
-        "first_delay_ms", "steady_delay_ms", "ks_first", "ks_thresh_95",
-        "transient_pkts_tol0.1"}) {
-    columns.emplace_back(metric);
-  }
+  // The transient-length tolerance of the last metric column.
+  constexpr double kTol = 0.1;
+  const std::vector<std::string> columns =
+      exp::Collector::train_columns(exp::Collector::cell_columns(), kTol);
   exp::CollectorOptions copts;
   copts.csv_path = args.get("csv", "");
   copts.jsonl_path = args.get("jsonl", "");
@@ -518,31 +515,14 @@ int main(int argc, char** argv) {
     copts.jsonl_stream = out;
   }
   exp::Collector collector(columns, copts);
-
+  // A cell where every repetition dropped a packet has no complete
+  // trains: its metrics are NaN (null in JSONL) instead of aborting the
+  // whole campaign's output.
   for (const exp::Cell& cell : campaign.cells()) {
-    const exp::TrainCellStats& r =
-        results[static_cast<std::size_t>(cell.index)];
-    std::vector<exp::Value> row = exp::Collector::cell_coords(cell);
-    row.emplace_back(r.used);
-    row.emplace_back(r.dropped);
-    if (r.used > 0) {
-      row.emplace_back(r.output_gap_s.mean() * 1e3);
-      row.emplace_back(r.measured_rate_mbps(cell.train.size_bytes));
-      row.emplace_back(r.analyzer.mean_at(0) * 1e3);
-      row.emplace_back(r.analyzer.steady_mean() * 1e3);
-      row.emplace_back(r.analyzer.ks_at(0));
-      row.emplace_back(r.analyzer.ks_threshold_at(0));
-      row.emplace_back(r.analyzer.transient_length(0.1));
-    } else {
-      // Every repetition dropped a packet: the cell has no complete
-      // trains.  Report it (NaN metrics -> null in JSONL) instead of
-      // aborting the whole campaign's output.
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(nan);
-      }
-    }
-    collector.add(row);
+    collector.add(exp::Collector::train_row(
+        exp::Collector::cell_coords(cell),
+        results[static_cast<std::size_t>(cell.index)], cell.train.size_bytes,
+        kTol));
   }
 
   if (json) {

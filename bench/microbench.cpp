@@ -199,10 +199,11 @@ void BM_ConflictGraphMedium(benchmark::State& state, topo::Topology topo) {
   // directly; production clique scenarios route to mac::Medium, so the
   // graph path needs its own gate).
   const int n = topo.num_nodes();
-  const auto factory = [&topo](sim::Simulator& sim,
-                               const mac::PhyParams& phy)
+  const auto shared = std::make_shared<const topo::Topology>(std::move(topo));
+  const auto factory = [&shared](sim::Simulator& sim,
+                                 const mac::PhyParams& phy)
       -> std::unique_ptr<mac::MediumBase> {
-    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, topo);
+    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, shared);
   };
   // Accumulated as in BM_MediumContention: never through DoNotOptimize.
   std::int64_t frames = 0;

@@ -11,15 +11,13 @@
 //                    --reps=24 --train=60 [--probe-mbps=5] [--seed=1]
 //   info         print a trace's header and per-kind event counts:
 //                  trace_tool info --in=FILE
-//   replay-stats recompute the per-cell campaign statistics (fig06 mean
-//                access delay, fig08 KS, fig10 transient length) from a
-//                recorded directory; with the default --shard=64 the
-//                numbers are bit-identical to the live campaign's:
-//                  trace_tool replay-stats --dir=DIR [--csv=PATH]
-//                    [--flow=1000] [--ks-prefix=1] [--tol=0.1]
 //   query        run a named aggregation over a fleet through the
 //                columnar scan path (mmap, skip-index pushdown,
-//                parallel page scan):
+//                parallel page scan).  `--agg=delay` recomputes the
+//                per-cell campaign statistics (fig06 mean access delay,
+//                fig08 KS, fig10 transient length) from a recorded
+//                directory, bit-identical to the live campaign's with
+//                the default shard size:
 //                  trace_tool query --dir=DIR [--agg=counts[:opts]]
 //                    [--where=kinds=success;station=0..3;time_ms=..250]
 //                    [--threads=N] [--csv=PATH] [--no-pushdown]
@@ -39,15 +37,12 @@
 //                    [--where=...]
 #include <array>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/scenario.hpp"
 #include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "trace/event.hpp"
@@ -56,10 +51,8 @@
 #include "trace/query/index.hpp"
 #include "trace/query/mapped.hpp"
 #include "trace/query/predicate.hpp"
-#include "trace/reader.hpp"
 #include "trace/replay.hpp"
 #include "trace/writer.hpp"
-#include "util/json.hpp"
 #include "util/require.hpp"
 
 using namespace csmabw;
@@ -68,13 +61,11 @@ namespace {
 
 int usage(std::ostream& out, int code) {
   out << "usage: trace_tool "
-         "<record|info|replay-stats|query|index|filter> [options]\n"
+         "<record|info|query|index|filter> [options]\n"
          "  record       --out=DIR --scenario=<name|grammar> [--reps=N]\n"
          "               [--train=N] [--probe-mbps=R] [--size=BYTES]\n"
          "               [--seed=S] [--threads=N]\n"
          "  info         --in=FILE [--no-mmap]\n"
-         "  replay-stats --dir=DIR [--csv=PATH] [--flow=ID]\n"
-         "               [--ks-prefix=N] [--tol=T] [--shard=N]\n"
          "  query        --dir=DIR | --in=FILE [--agg=NAME[:k=v,...]]\n"
          "               [--where=CLAUSES] [--threads=N] [--csv=PATH]\n"
          "               [--jsonl=PATH] [--no-pushdown] [--no-mmap]\n"
@@ -134,7 +125,7 @@ int cmd_record(const util::Args& args) {
             << " ms, steady "
             << util::Table::format(cell.analyzer.steady_mean() * 1e3, 4)
             << " ms\n";
-  std::cout << "# replay with: trace_tool replay-stats --dir="
+  std::cout << "# replay with: trace_tool query --agg=delay --dir="
             << spec.trace_dir << "\n";
   return 0;
 }
@@ -202,100 +193,6 @@ int cmd_info(const util::Args& args) {
     } else {
       std::cout << "station." << station << ": " << n << "\n";
     }
-  }
-  return 0;
-}
-
-// ---------------------------------------------------------- replay-stats
-
-int cmd_replay_stats(const util::Args& args) {
-  const std::string dir = required(args, "dir");
-  const int flow = args.get("flow", core::kProbeFlow);
-  const int shard = args.get("shard", 64);
-  const double tol = args.get("tol", 0.1);
-  exp::TrainCampaignConfig tcfg;
-  tcfg.ks_prefix = args.get("ks-prefix", 1);
-  tcfg.steady_tail = args.get("steady-tail", 0);
-
-  const std::vector<trace::TraceFile> files = trace::list_traces(dir);
-  CSMABW_REQUIRE(!files.empty(),
-                 "no .cctrace files under `" + dir + "`");
-
-  // Group the recordings by campaign cell, preserving (cell, rep) order.
-  std::vector<std::pair<int, std::vector<const trace::TraceFile*>>> cells;
-  for (const trace::TraceFile& f : files) {
-    CSMABW_REQUIRE(f.meta.train_n >= 2,
-                   "`" + f.path + "` is not a probe-train recording");
-    if (cells.empty() || cells.back().first != f.meta.cell) {
-      cells.emplace_back(f.meta.cell,
-                         std::vector<const trace::TraceFile*>{});
-    }
-    cells.back().second.push_back(&f);
-  }
-
-  exp::CollectorOptions copts;
-  copts.csv_path = args.get("csv", "");
-  // The metric columns of campaign_sweep's per-cell rows, minus the
-  // sweep coordinates (a trace directory may mix hand-recorded cells):
-  // the CI determinism diff `cut`s these very columns from the live CSV.
-  // The last header tracks --tol ("transient_pkts_tol0.1" by default,
-  // matching the live campaign's fixed 0.1).
-  exp::Collector collector(
-      {"cell", "reps_used", "dropped", "mean_gap_ms", "measured_rate_mbps",
-       "first_delay_ms", "steady_delay_ms", "ks_first", "ks_thresh_95",
-       "transient_pkts_tol" + util::json_number(tol)},
-      copts);
-
-  for (const auto& [cell_index, reps] : cells) {
-    const trace::TraceMeta& meta = reps.front()->meta;
-    trace::TrainReplayStats stats(
-        exp::train_transient_config(meta.train_n, tcfg), shard);
-    for (std::size_t r = 0; r < reps.size(); ++r) {
-      CSMABW_REQUIRE(reps[r]->meta.repetition == static_cast<int>(r),
-                     "cell " + std::to_string(cell_index) +
-                         " is missing repetition " + std::to_string(r) +
-                         " (found `" + reps[r]->path + "`)");
-      // Catch recordings from different campaigns mixed in one
-      // directory (e.g. a re-record with another seed or train over
-      // stale files): all repetitions of a cell must agree on
-      // everything but the repetition number.
-      trace::TraceMeta expected = meta;
-      expected.repetition = static_cast<int>(r);
-      CSMABW_REQUIRE(reps[r]->meta == expected,
-                     "`" + reps[r]->path +
-                         "` does not belong to the same recording as `" +
-                         reps.front()->path +
-                         "` (stale traces from an earlier run? clear "
-                         "the directory and re-record)");
-      stats.add(trace::replay_train_file(reps[r]->path, flow));
-    }
-    stats.finish();
-
-    std::vector<exp::Value> row;
-    row.emplace_back(cell_index);
-    row.emplace_back(stats.used());
-    row.emplace_back(stats.dropped());
-    if (stats.used() > 0) {
-      const double gap = stats.output_gap_s().mean();
-      row.emplace_back(gap * 1e3);
-      row.emplace_back(gap > 0.0 ? meta.train_size * 8.0 / gap / 1e6 : 0.0);
-      row.emplace_back(stats.analyzer().mean_at(0) * 1e3);
-      row.emplace_back(stats.analyzer().steady_mean() * 1e3);
-      row.emplace_back(stats.analyzer().ks_at(0));
-      row.emplace_back(stats.analyzer().ks_threshold_at(0));
-      row.emplace_back(stats.analyzer().transient_length(tol));
-    } else {
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(nan);
-      }
-    }
-    collector.add(row);
-  }
-
-  collector.table().print(std::cout);
-  if (!copts.csv_path.empty()) {
-    std::cout << "# csv written: " << copts.csv_path << "\n";
   }
   return 0;
 }
@@ -516,9 +413,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "info") {
     return cmd_info(args);
-  }
-  if (cmd == "replay-stats") {
-    return cmd_replay_stats(args);
   }
   if (cmd == "query") {
     return cmd_query(args);

@@ -52,8 +52,13 @@ int main(int argc, char** argv) {
             << live_cell.analyzer.steady_mean() * 1e3 << " ms\n";
 
   // --- offline: recompute the same statistics from the files alone ------
-  trace::TrainReplayStats replay(
-      exp::train_transient_config(train, tcfg));
+  // Each replayed train folds through the engine's own accumulator, in
+  // shards of the campaign's shard size merged in order: the live
+  // decomposition, hence the same floating-point association.
+  const core::TransientConfig tc = exp::train_transient_config(train, tcfg);
+  exp::TrainCellStats replay(tc);
+  exp::TrainCellStats shard(tc);
+  int in_shard = 0;
   std::array<std::uint64_t, trace::kEventKindCount> counts{};
   for (const trace::TraceFile& file : trace::list_traces(dir)) {
     trace::TraceReader reader(file.path);
@@ -66,17 +71,25 @@ int main(int argc, char** argv) {
       counts[static_cast<std::size_t>(k)] +=
           rec.counts()[static_cast<std::size_t>(k)];
     }
-    replay.add(trace::replay_train(rec.packets(), core::kProbeFlow));
+    shard.add(exp::train_rep_record(
+        trace::replay_train(rec.packets(), core::kProbeFlow)));
+    if (++in_shard == tcfg.shard_size) {
+      replay.merge(shard);
+      shard = exp::TrainCellStats(tc);
+      in_shard = 0;
+    }
   }
-  replay.finish();
+  if (in_shard > 0) {
+    replay.merge(shard);
+  }
 
   std::cout << "replay mean access delay: packet 1 = "
-            << replay.analyzer().mean_at(0) * 1e3 << " ms, steady = "
-            << replay.analyzer().steady_mean() * 1e3 << " ms\n";
+            << replay.analyzer.mean_at(0) * 1e3 << " ms, steady = "
+            << replay.analyzer.steady_mean() * 1e3 << " ms\n";
   const bool identical =
-      replay.analyzer().mean_at(0) == live_cell.analyzer.mean_at(0) &&
-      replay.analyzer().steady_mean() == live_cell.analyzer.steady_mean() &&
-      replay.output_gap_s().mean() == live_cell.output_gap_s.mean();
+      replay.analyzer.mean_at(0) == live_cell.analyzer.mean_at(0) &&
+      replay.analyzer.steady_mean() == live_cell.analyzer.steady_mean() &&
+      replay.output_gap_s.mean() == live_cell.output_gap_s.mean();
   std::cout << "bit-identical to the live run: "
             << (identical ? "yes" : "NO") << "\n";
 

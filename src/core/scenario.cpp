@@ -379,27 +379,36 @@ std::vector<TrafficModelPtr> parse_contender_models(
   return models;
 }
 
-/// Selects the cell's medium.  The default single collision domain —
-/// bare `clique`, plus any explicit clique that matches the cell —
-/// keeps the classic dense mac::Medium, the fast path whose outputs
-/// existing campaigns are byte-identical on; every other topology runs
-/// on a topo::ConflictGraphMedium over the registry-built graph.
-mac::WlanNetwork::MediumFactory medium_factory(const ScenarioConfig& cfg) {
-  const auto dense = [](sim::Simulator& sim, const mac::PhyParams& phy) {
-    return std::make_unique<mac::Medium>(sim, phy);
-  };
+/// The conflict graph of `cfg`'s cells, or null for the default single
+/// collision domain — bare `clique`, plus any explicit clique that
+/// matches the cell — which keeps the classic dense mac::Medium, the
+/// fast path whose outputs existing campaigns are byte-identical on.
+std::shared_ptr<const topo::Topology> build_topology(
+    const ScenarioConfig& cfg) {
   if (cfg.topology == topo::kDefaultTopology) {
-    return dense;
+    return nullptr;
   }
-  const int stations = 1 + static_cast<int>(cfg.contenders.size());
-  topo::Topology t =
-      topo::TopologyRegistry::global().build(cfg.topology, stations);
+  topo::Topology t = topo::TopologyRegistry::global().build(
+      cfg.topology, 1 + static_cast<int>(cfg.contenders.size()));
   if (t.is_clique()) {
-    return dense;
+    return nullptr;
   }
-  return [t = std::move(t)](sim::Simulator& sim, const mac::PhyParams& phy)
+  return std::make_shared<const topo::Topology>(std::move(t));
+}
+
+/// Every non-null topology runs on a topo::ConflictGraphMedium reading
+/// the shared graph.
+mac::WlanNetwork::MediumFactory medium_factory(
+    std::shared_ptr<const topo::Topology> topology) {
+  if (topology == nullptr) {
+    return [](sim::Simulator& sim, const mac::PhyParams& phy) {
+      return std::make_unique<mac::Medium>(sim, phy);
+    };
+  }
+  return [topology = std::move(topology)](sim::Simulator& sim,
+                                          const mac::PhyParams& phy)
              -> std::unique_ptr<mac::MediumBase> {
-    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, t);
+    return std::make_unique<topo::ConflictGraphMedium>(sim, phy, topology);
   };
 }
 
@@ -427,8 +436,16 @@ ScenarioCell::ScenarioCell(
     const ScenarioConfig& cfg, std::uint64_t repetition,
     const std::vector<TrafficModelPtr>& contender_models,
     const TrafficModelPtr& fifo_model)
+    : ScenarioCell(cfg, repetition, contender_models, fifo_model,
+                   build_topology(cfg)) {}
+
+ScenarioCell::ScenarioCell(
+    const ScenarioConfig& cfg, std::uint64_t repetition,
+    const std::vector<TrafficModelPtr>& contender_models,
+    const TrafficModelPtr& fifo_model,
+    std::shared_ptr<const topo::Topology> topology)
     : net_(cfg.phy, stats::Rng(cfg.seed).fork(repetition).seed(),
-           medium_factory(cfg)) {
+           medium_factory(std::move(topology))) {
   CSMABW_REQUIRE(contender_models.size() == cfg.contenders.size() &&
                      fifo_model.operator bool() ==
                          cfg.fifo_cross.has_value(),
@@ -495,12 +512,14 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_(std::move(cfg)) {
   // here, not mid-campaign, and every repetition reuses these models.
   contender_models_ = parse_contender_models(cfg_);
   fifo_model_ = parse_fifo_model(cfg_);
-  if (cfg_.topology != topo::kDefaultTopology) {
-    // Same eagerness for the topology: surfaces unknown names, bad
-    // args and station-count mismatches before any repetition runs.
-    (void)topo::TopologyRegistry::global().build(
-        cfg_.topology, 1 + static_cast<int>(cfg_.contenders.size()));
-  }
+  // Same eagerness for the topology: surfaces unknown names, bad args
+  // and station-count mismatches before any repetition runs.
+  topology_ = build_topology(cfg_);
+}
+
+ScenarioCell Scenario::build_cell(std::uint64_t repetition) const {
+  return ScenarioCell(cfg_, repetition, contender_models_, fifo_model_,
+                      topology_);
 }
 
 TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
@@ -510,7 +529,7 @@ TrainRun Scenario::run_train(const traffic::TrainSpec& spec,
                              obs::Registry* metrics) const {
   CSMABW_REQUIRE(!sample_contender_queue || !cfg_.contenders.empty(),
                  "queue sampling needs at least one contender");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell = build_cell(repetition);
   cell.set_trace(trace);
   cell.set_metrics(metrics);
   auto& sim = cell.simulator();
@@ -562,8 +581,7 @@ SteadyStateResult Scenario::run_steady_state(BitRate probe_rate,
   CSMABW_REQUIRE(measure_from >= cfg_.warmup,
                  "measurement must start after warm-up");
   CSMABW_REQUIRE(duration > measure_from, "duration must exceed window start");
-  ScenarioCell cell(cfg_, /*repetition=*/0, contender_models_,
-                    fifo_model_);
+  ScenarioCell cell = build_cell(/*repetition=*/0);
   cell.set_trace(trace);
   auto& sim = cell.simulator();
 
@@ -615,7 +633,7 @@ ContentionResult Scenario::run_contention(TimeNs duration,
   CSMABW_REQUIRE(measure_from >= TimeNs::zero(),
                  "measurement start must be >= 0");
   CSMABW_REQUIRE(duration > measure_from, "duration must exceed window start");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell = build_cell(repetition);
   cell.set_trace(trace);
 
   std::vector<std::unique_ptr<traffic::FlowMeter>> meters;
@@ -644,7 +662,7 @@ TrainSequenceResult Scenario::run_train_sequence(
     const traffic::TrainSpec& spec, int trains, TimeNs mean_spacing,
     std::uint64_t repetition) const {
   CSMABW_REQUIRE(trains >= 1, "need at least one train");
-  ScenarioCell cell(cfg_, repetition, contender_models_, fifo_model_);
+  ScenarioCell cell = build_cell(repetition);
   auto& sim = cell.simulator();
   stats::Rng spacing_rng = cell.net().rng("train-spacing");
 

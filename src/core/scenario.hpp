@@ -18,6 +18,10 @@
 #include "util/time.hpp"
 #include "util/units.hpp"
 
+namespace csmabw::topo {
+struct Topology;
+}  // namespace csmabw::topo
+
 namespace csmabw::core {
 
 /// One contending station of a scenario: the traffic it carries (a
@@ -192,6 +196,14 @@ class ScenarioCell {
                const std::vector<TrafficModelPtr>& contender_models,
                const TrafficModelPtr& fifo_model);
 
+  /// Fully prebuilt: the medium additionally reads the shared
+  /// `topology` — the config's conflict graph as Scenario builds it,
+  /// null for the dense mac::Medium — instead of rebuilding it.
+  ScenarioCell(const ScenarioConfig& cfg, std::uint64_t repetition,
+               const std::vector<TrafficModelPtr>& contender_models,
+               const TrafficModelPtr& fifo_model,
+               std::shared_ptr<const topo::Topology> topology);
+
   [[nodiscard]] mac::WlanNetwork& net() { return net_; }
   [[nodiscard]] sim::Simulator& simulator() { return net_.simulator(); }
   [[nodiscard]] mac::DcfStation& probe_station() { return net_.station(0); }
@@ -282,12 +294,23 @@ struct TrainSequenceResult {
 /// harvests the records — exactly the ensemble methodology of Section 4.
 class Scenario {
  public:
-  /// Validates the PHY and parses every traffic spec eagerly (throws
-  /// before any run starts); the parsed models are cached and shared
-  /// with every per-repetition cell.
+  /// Validates the PHY, parses every traffic spec and builds the
+  /// topology eagerly (throws before any run starts); the parsed models
+  /// and the topology are kept and shared with every per-repetition
+  /// cell.
   explicit Scenario(ScenarioConfig cfg);
 
   [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
+  /// The conflict graph every repetition's medium reads; null when the
+  /// cells run on the dense mac::Medium (the default topology, or any
+  /// clique).
+  [[nodiscard]] const topo::Topology* topology() const {
+    return topology_.get();
+  }
+
+  /// Repetition `repetition`'s fresh, started cell — the one every run
+  /// below builds.
+  [[nodiscard]] ScenarioCell build_cell(std::uint64_t repetition) const;
 
   /// One ensemble repetition: a single train of `spec` packets.
   /// `sample_contender_queue` additionally samples contender 0's queue at
@@ -324,6 +347,7 @@ class Scenario {
   /// Parsed once at construction; shared with every repetition's cell.
   std::vector<TrafficModelPtr> contender_models_;
   TrafficModelPtr fifo_model_;
+  std::shared_ptr<const topo::Topology> topology_;
 };
 
 /// ProbeTransport implementation backed by a Scenario: every train runs

@@ -1,7 +1,9 @@
 #include "exp/collector.hpp"
 
 #include <cmath>
+#include <limits>
 
+#include "exp/engine.hpp"
 #include "util/require.hpp"
 
 namespace csmabw::exp {
@@ -73,6 +75,37 @@ std::vector<Value> Collector::cell_coords(const Cell& cell) {
           Value(cell.train_length),
           Value(cell.probe_mbps),
           Value(cell.fifo ? 1 : 0)};
+}
+
+std::vector<std::string> Collector::train_columns(
+    std::vector<std::string> prefix, double tol) {
+  for (const char* name :
+       {"reps_used", "dropped", "mean_gap_ms", "measured_rate_mbps",
+        "first_delay_ms", "steady_delay_ms", "ks_first", "ks_thresh_95"}) {
+    prefix.emplace_back(name);
+  }
+  prefix.push_back("transient_pkts_tol" + util::json_number(tol));
+  return prefix;
+}
+
+std::vector<Value> Collector::train_row(std::vector<Value> prefix,
+                                        const TrainCellStats& stats,
+                                        int train_size_bytes, double tol) {
+  prefix.emplace_back(stats.used);
+  prefix.emplace_back(stats.dropped);
+  if (stats.used == 0) {
+    prefix.insert(prefix.end(), 7,
+                  Value(std::numeric_limits<double>::quiet_NaN()));
+    return prefix;
+  }
+  prefix.emplace_back(stats.output_gap_s.mean() * 1e3);
+  prefix.emplace_back(stats.measured_rate_mbps(train_size_bytes));
+  prefix.emplace_back(stats.analyzer.mean_at(0) * 1e3);
+  prefix.emplace_back(stats.analyzer.steady_mean() * 1e3);
+  prefix.emplace_back(stats.analyzer.ks_at(0));
+  prefix.emplace_back(stats.analyzer.ks_threshold_at(0));
+  prefix.emplace_back(stats.analyzer.transient_length(tol));
+  return prefix;
 }
 
 std::vector<std::string> Collector::method_columns() {

@@ -14,6 +14,8 @@
 
 namespace csmabw::exp {
 
+struct TrainCellStats;
+
 /// A collector cell value: a number or a label (e.g. a PHY preset name).
 using Value = util::Value;
 
@@ -56,6 +58,18 @@ class Collector {
   /// cross_mbps, phy, train_len, probe_mbps, fifo.
   [[nodiscard]] static std::vector<std::string> cell_columns();
   [[nodiscard]] static std::vector<Value> cell_coords(const Cell& cell);
+
+  /// The standard schema for per-cell train-campaign rows: `prefix` +
+  /// reps_used, dropped, mean_gap_ms, measured_rate_mbps,
+  /// first_delay_ms, steady_delay_ms, ks_first, ks_thresh_95,
+  /// transient_pkts_tol<tol>.  train_row fills the metrics from a
+  /// cell's merged stats (`train_size_bytes` per probe); they are NaN
+  /// (null in JSONL) when no train of the cell was complete.
+  [[nodiscard]] static std::vector<std::string> train_columns(
+      std::vector<std::string> prefix, double tol);
+  [[nodiscard]] static std::vector<Value> train_row(
+      std::vector<Value> prefix, const TrainCellStats& stats,
+      int train_size_bytes, double tol);
 
   /// The standard schema for per-repetition MeasurementReport rows:
   /// cell_columns() + method, rep, estimate_mbps, trains_sent,

@@ -178,6 +178,46 @@ void persist_record(const serve::CampaignServeOptions& io, const EngineObs& m,
 
 }  // namespace
 
+void TrainCellStats::add(const serve::TrainRepRecord& record) {
+  if (record.dropped) {
+    ++dropped;
+    return;
+  }
+  analyzer.add_repetition(record.access_delays_s);
+  output_gap_s.add(record.output_gap_s);
+  CSMABW_REQUIRE(record.queue_at_arrival.size() >= queue_at_arrival.size(),
+                 "served record has fewer queue samples than the campaign "
+                 "config expects");
+  for (std::size_t i = 0; i < queue_at_arrival.size(); ++i) {
+    queue_at_arrival[i].add(record.queue_at_arrival[i]);
+  }
+  ++used;
+}
+
+void TrainCellStats::merge(const TrainCellStats& other) {
+  CSMABW_REQUIRE(other.queue_at_arrival.size() == queue_at_arrival.size(),
+                 "merging cell stats with different queue prefixes");
+  analyzer.merge(other.analyzer);
+  output_gap_s.merge(other.output_gap_s);
+  for (std::size_t i = 0; i < queue_at_arrival.size(); ++i) {
+    queue_at_arrival[i].merge(other.queue_at_arrival[i]);
+  }
+  used += other.used;
+  dropped += other.dropped;
+  obs.merge(other.obs);
+}
+
+serve::TrainRepRecord train_rep_record(core::TrainRun run) {
+  serve::TrainRepRecord record;
+  record.dropped = run.any_dropped;
+  if (!run.any_dropped) {
+    record.access_delays_s = run.access_delays_s();
+    record.output_gap_s = run.output_gap_s();
+    record.queue_at_arrival = std::move(run.contender_queue_at_arrival);
+  }
+  return record;
+}
+
 core::TransientConfig train_transient_config(int train_length,
                                              const TrainCampaignConfig& cfg) {
   core::TransientConfig tc;
@@ -202,8 +242,11 @@ std::uint64_t method_rep_seed(std::uint64_t campaign_seed, int cell_index,
       .seed();
 }
 
-int count_method_runs(const Campaign& campaign) {
-  return static_cast<int>(campaign.total_repetitions());
+int count_method_runs(const Campaign& campaign, serve::ShardSel shard) {
+  // Jobs j with j % count == index among [0, total).
+  return static_cast<int>((campaign.total_repetitions() + shard.count - 1 -
+                           shard.index) /
+                          shard.count);
 }
 
 std::vector<MethodRun> run_method_campaign(const Campaign& campaign,
@@ -315,6 +358,19 @@ int count_train_shards(const Campaign& campaign,
   return static_cast<int>(make_shards(campaign, cfg).size());
 }
 
+std::int64_t count_train_reps(const Campaign& campaign,
+                              const TrainCampaignConfig& cfg,
+                              serve::ShardSel shard) {
+  const std::vector<Shard> shards = make_shards(campaign, cfg);
+  std::int64_t reps = 0;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    if (shard.selects(static_cast<int>(s))) {
+      reps += shards[s].rep_end - shards[s].rep_begin;
+    }
+  }
+  return reps;
+}
+
 std::vector<TrainCellStats> run_train_campaign(const Campaign& campaign,
                                                const TrainCampaignConfig& cfg,
                                                const Runner& runner) {
@@ -387,32 +443,6 @@ struct ShardRun {
   std::size_t folded = 0;
   TrainCellStats stats;
 };
-
-/// Folds one repetition into a shard accumulator.
-void accumulate(TrainCellStats& stats, const RepOutcome& rep) {
-  if (rep.served) {
-    ++stats.obs.cached;
-  } else {
-    ++stats.obs.computed;
-    stats.obs.sim_events += rep.sim_events;
-    stats.obs.wall_ns += rep.wall_ns;
-  }
-  const serve::TrainRepRecord& record = rep.record;
-  if (record.dropped) {
-    ++stats.dropped;
-    return;
-  }
-  stats.analyzer.add_repetition(record.access_delays_s);
-  stats.output_gap_s.add(record.output_gap_s);
-  CSMABW_REQUIRE(
-      record.queue_at_arrival.size() >= stats.queue_at_arrival.size(),
-      "served record has fewer queue samples than the campaign config "
-      "expects");
-  for (std::size_t i = 0; i < stats.queue_at_arrival.size(); ++i) {
-    stats.queue_at_arrival[i].add(record.queue_at_arrival[i]);
-  }
-  ++stats.used;
-}
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
@@ -552,26 +582,20 @@ std::vector<TrainCellStats> run_train_campaign(
     if (writer != nullptr) {
       writer->close();  // surface write errors here, not in ~TraceWriter
     }
-    serve::TrainRepRecord& record = out.record;
-    record.dropped = run.any_dropped;
-    if (!run.any_dropped) {
-      record.access_delays_s = run.access_delays_s();
-      record.output_gap_s = run.output_gap_s();
-      record.queue_at_arrival = std::move(run.contender_queue_at_arrival);
-    }
     out.sim_events = static_cast<std::int64_t>(run.sim_events);
     m.sim_events.add(out.sim_events);
     m.sim_alloc.add(static_cast<std::int64_t>(run.sim_allocations));
     m.slot_capacity.sample(static_cast<std::int64_t>(run.sim_slot_capacity));
     m.rep_events.observe(out.sim_events);
+    out.record = train_rep_record(std::move(run));
     span.arg("events", out.sim_events);
     if (m.timing) {
       out.wall_ns = obs::now_ns() - rep_start;
       m.rep_wall.observe(out.wall_ns);
     }
     persist_record(io, m, cell.index, rep, key,
-                   [&record](std::vector<unsigned char>& payload) {
-                     serve::encode_train_record(record, payload);
+                   [&out](std::vector<unsigned char>& payload) {
+                     serve::encode_train_record(out.record, payload);
                    });
     return out;
   };
@@ -586,7 +610,15 @@ std::vector<TrainCellStats> run_train_campaign(
       run.slots[static_cast<std::size_t>(rep - shards[s].rep_begin)] =
           std::move(out);
       while (run.folded < run.slots.size() && run.slots[run.folded]) {
-        accumulate(run.stats, *run.slots[run.folded]);
+        const RepOutcome& done = *run.slots[run.folded];
+        if (done.served) {
+          ++run.stats.obs.cached;
+        } else {
+          ++run.stats.obs.computed;
+          run.stats.obs.sim_events += done.sim_events;
+          run.stats.obs.wall_ns += done.wall_ns;
+        }
+        run.stats.add(done.record);
         run.slots[run.folded].reset();
         ++run.folded;
       }
@@ -636,20 +668,10 @@ std::vector<TrainCellStats> run_train_campaign(
     merged.back().obs.cell = cell.index;
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
-    if (runs[s] == nullptr) {
-      continue;  // another process's slice; merging nothing is a no-op
+    if (runs[s] != nullptr) {  // null: another process's slice
+      merged[static_cast<std::size_t>(shards[s].cell_index)].merge(
+          runs[s]->stats);
     }
-    TrainCellStats& dst =
-        merged[static_cast<std::size_t>(shards[s].cell_index)];
-    const TrainCellStats& src = runs[s]->stats;
-    dst.analyzer.merge(src.analyzer);
-    dst.output_gap_s.merge(src.output_gap_s);
-    for (std::size_t i = 0; i < dst.queue_at_arrival.size(); ++i) {
-      dst.queue_at_arrival[i].merge(src.queue_at_arrival[i]);
-    }
-    dst.used += src.used;
-    dst.dropped += src.dropped;
-    dst.obs.merge(src.obs);
   }
   return merged;
 }

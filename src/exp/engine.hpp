@@ -12,7 +12,12 @@
 #include "exp/sweep.hpp"
 #include "obs/report.hpp"
 #include "serve/campaign_io.hpp"
+#include "serve/record.hpp"
 #include "stats/summary.hpp"
+
+namespace csmabw::core {
+struct TrainRun;
+}  // namespace csmabw::core
 
 namespace csmabw::exp {
 
@@ -42,7 +47,10 @@ struct TrainCampaignConfig {
   int shard_size = 64;
 };
 
-/// Merged per-cell result of a train campaign.
+/// Per-cell accumulator of a train campaign's repetitions: the engine
+/// folds each shard's repetitions into one in repetition order, then
+/// merges the shards in shard order; offline replays of recorded traces
+/// (the `delay` trace query) repeat exactly that decomposition.
 struct TrainCellStats {
   explicit TrainCellStats(const core::TransientConfig& tc) : analyzer(tc) {}
 
@@ -60,6 +68,15 @@ struct TrainCellStats {
   /// enabled metrics registry or profiler.  Never affects results.
   obs::CellObs obs;
 
+  /// Folds the next repetition: a dropped train is only counted; a
+  /// complete one feeds the analyzer, the output gap and the first
+  /// queue_at_arrival.size() queue samples.  `obs` is left to the
+  /// caller.
+  void add(const serve::TrainRepRecord& record);
+  /// Appends `other` — the next shard of the same cell — field by field
+  /// (raw samples keep their order, moments merge pairwise).
+  void merge(const TrainCellStats& other);
+
   /// Measured probe rate implied by the mean output gap.
   [[nodiscard]] double measured_rate_mbps(int size_bytes) const {
     const double gap = output_gap_s.mean();
@@ -70,10 +87,15 @@ struct TrainCellStats {
 /// The per-cell transient analysis configuration a train campaign uses
 /// for a cell of `train_length` packets: ks_prefix and steady_tail
 /// clamped to the train, steady_tail defaulting to half the train.
-/// Exposed so offline replays (trace::TrainReplayStats) can reproduce a
-/// live campaign's analyzer configuration exactly.
+/// Exposed so offline replays of recorded traces can reproduce a live
+/// campaign's analyzer configuration exactly.
 [[nodiscard]] core::TransientConfig train_transient_config(
     int train_length, const TrainCampaignConfig& cfg);
+
+/// The record one probe train contributes to its cell (only the dropped
+/// flag when the train lost a packet).  Live repetitions and trains
+/// replayed from traces both reach TrainCellStats::add through it.
+[[nodiscard]] serve::TrainRepRecord train_rep_record(core::TrainRun run);
 
 /// Runs every cell's repetition ensemble across the runner's worker
 /// pool and returns merged per-cell statistics, indexed like
@@ -116,9 +138,16 @@ struct TrainCellStats {
 /// Counts the work shards `run_train_campaign` will execute: the job
 /// total to hand a Progress reporter the Runner carries (ticked once per
 /// completed shard).  Serve-option progress ticks per repetition
-/// instead; hand it `campaign.total_repetitions()`.
+/// instead; hand it count_train_reps.
 [[nodiscard]] int count_train_shards(const Campaign& campaign,
                                      const TrainCampaignConfig& cfg);
+
+/// Counts the repetitions of the work shards `shard` selects: the job
+/// total to hand the serve options' Progress reporter, which ticks once
+/// per repetition this process runs or serves.
+[[nodiscard]] std::int64_t count_train_reps(const Campaign& campaign,
+                                            const TrainCampaignConfig& cfg,
+                                            serve::ShardSel shard = {});
 
 /// One measurement-method repetition's outcome, tagged with the campaign
 /// coordinates it ran at.
@@ -153,9 +182,10 @@ struct MethodCampaignConfig {
 [[nodiscard]] std::uint64_t method_rep_seed(std::uint64_t campaign_seed,
                                             int cell_index, int repetition);
 
-/// The job total of run_method_campaign (one job per repetition) — the
-/// number to hand a Progress reporter.
-[[nodiscard]] int count_method_runs(const Campaign& campaign);
+/// The job total of run_method_campaign (one job per repetition) within
+/// this process's slice `shard` — the number to hand a Progress reporter.
+[[nodiscard]] int count_method_runs(const Campaign& campaign,
+                                    serve::ShardSel shard = {});
 
 /// Runs every cell's method repetitions across the worker pool: each
 /// repetition creates the cell's method from the registry, builds a

@@ -8,30 +8,25 @@
 
 namespace csmabw::topo {
 
-ConflictGraphMedium::ConflictGraphMedium(sim::Simulator& sim,
-                                         const mac::PhyParams& phy,
-                                         Topology topology)
+ConflictGraphMedium::ConflictGraphMedium(
+    sim::Simulator& sim, const mac::PhyParams& phy,
+    std::shared_ptr<const Topology> topology)
     : MediumBase(sim, phy),
       topo_(std::move(topology)),
       pending_fire_(sim_.add_timer<&ConflictGraphMedium::fire>(*this)),
       pending_end_(sim_.add_timer<&ConflictGraphMedium::advance>(*this)) {
-  topo_.validate();
-  sense_csr_ = CsrAdjacency(topo_.sense);
-  interfere_csr_ = CsrAdjacency(topo_.interfere);
-  const std::size_t n = static_cast<std::size_t>(topo_.num_nodes());
+  CSMABW_REQUIRE(topo_ != nullptr, "null topology");
+  topo_->validate();
+  sense_csr_ = CsrAdjacency(topo_->sense);
+  interfere_csr_ = CsrAdjacency(topo_->interfere);
+  const std::size_t n = static_cast<std::size_t>(topo_->num_nodes());
   stations_.reserve(n);
   sensed_tx_.assign(n, 0);
   idle_start_.assign(n, TimeNs{});
   saw_corrupt_.assign(n, 0);
   tx_state_.assign(n, kTxIdle);
   txs_.reserve(n);
-  dense_ = topo_.num_nodes() <= kDenseCliqueLimit && topo_.is_clique();
-  if (dense_) {
-    fire_time_.assign(n, TimeNs{});
-    can_fire_.assign(n, 0);
-  } else {
-    fire_idx_.reset(static_cast<int>(n));
-  }
+  fire_idx_.reset(static_cast<int>(n));
   end_idx_.reset(static_cast<int>(n));
   winners_.reserve(n);
   post_backoff_.reserve(n);
@@ -45,9 +40,9 @@ ConflictGraphMedium::ConflictGraphMedium(sim::Simulator& sim,
 
 int ConflictGraphMedium::register_station(mac::DcfStation* s) {
   CSMABW_REQUIRE(s != nullptr, "null station");
-  CSMABW_REQUIRE(static_cast<int>(stations_.size()) < topo_.num_nodes(),
-                 "topology `" + topo_.spec + "` has " +
-                     std::to_string(topo_.num_nodes()) +
+  CSMABW_REQUIRE(static_cast<int>(stations_.size()) < topo_->num_nodes(),
+                 "topology `" + topo_->spec + "` has " +
+                     std::to_string(topo_->num_nodes()) +
                      " nodes; cannot register another station");
   stations_.push_back(s);
   return static_cast<int>(stations_.size()) - 1;
@@ -90,22 +85,6 @@ void ConflictGraphMedium::refresh_node(int i) {
   const bool can_fire = s.in_contention() &&
                         sensed_tx_[static_cast<std::size_t>(i)] == 0 &&
                         tx_state_[static_cast<std::size_t>(i)] == kTxIdle;
-  if (dense_) {
-    can_fire_[static_cast<std::size_t>(i)] = can_fire ? 1 : 0;
-    if (can_fire) {
-      fire_time_[static_cast<std::size_t>(i)] = fire_time(s, i);
-    }
-    if (i == min_slot_) {
-      // The minimum's owner changed; it may no longer be the minimum.
-      rescan_min();
-    } else if (can_fire &&
-               (min_slot_ < 0 ||
-                fire_time_[static_cast<std::size_t>(i)] <
-                    fire_time_[static_cast<std::size_t>(min_slot_)])) {
-      min_slot_ = i;
-    }
-    return;
-  }
   if (can_fire) {
     fire_idx_.set(i, fire_time(s, i));
   } else {
@@ -113,33 +92,12 @@ void ConflictGraphMedium::refresh_node(int i) {
   }
 }
 
-void ConflictGraphMedium::rescan_min() {
-  min_slot_ = -1;
-  const int n = static_cast<int>(can_fire_.size());
-  for (int i = 0; i < n; ++i) {
-    if (can_fire_[static_cast<std::size_t>(i)] != 0 &&
-        (min_slot_ < 0 || fire_time_[static_cast<std::size_t>(i)] <
-                              fire_time_[static_cast<std::size_t>(min_slot_)])) {
-      min_slot_ = i;
-    }
-  }
-}
-
 void ConflictGraphMedium::sync_pending_fire() {
-  TimeNs earliest;
-  if (dense_) {
-    if (min_slot_ < 0) {
-      sim_.disarm_timer(pending_fire_);
-      return;
-    }
-    earliest = fire_time_[static_cast<std::size_t>(min_slot_)];
-  } else {
-    if (fire_idx_.empty()) {
-      sim_.disarm_timer(pending_fire_);
-      return;
-    }
-    earliest = fire_idx_.top_time();
+  if (fire_idx_.empty()) {
+    sim_.disarm_timer(pending_fire_);
+    return;
   }
+  const TimeNs earliest = fire_idx_.top_time();
   CSMABW_REQUIRE(earliest >= sim_.now(), "fire time in the past");
   m_rearms_.add(1);
   sim_.arm_timer(pending_fire_, earliest);
@@ -171,28 +129,12 @@ void ConflictGraphMedium::fire() {
   // the old full scan produced.
   winners_.clear();
   post_backoff_.clear();
-  if (dense_) {
-    const int n = static_cast<int>(can_fire_.size());
-    for (int i = 0; i < n; ++i) {
-      if (can_fire_[static_cast<std::size_t>(i)] == 0 ||
-          fire_time_[static_cast<std::size_t>(i)] != now) {
-        continue;
-      }
-      can_fire_[static_cast<std::size_t>(i)] = 0;
-      if (stations_[static_cast<std::size_t>(i)]->has_frame()) {
-        winners_.push_back(i);
-      } else {
-        post_backoff_.push_back(i);
-      }
-    }
-  } else {
-    while (!fire_idx_.empty() && fire_idx_.top_time() == now) {
-      const int i = fire_idx_.pop_top();
-      if (stations_[static_cast<std::size_t>(i)]->has_frame()) {
-        winners_.push_back(i);
-      } else {
-        post_backoff_.push_back(i);
-      }
+  while (!fire_idx_.empty() && fire_idx_.top_time() == now) {
+    const int i = fire_idx_.pop_top();
+    if (stations_[static_cast<std::size_t>(i)]->has_frame()) {
+      winners_.push_back(i);
+    } else {
+      post_backoff_.push_back(i);
     }
   }
   CSMABW_REQUIRE(!winners_.empty() || !post_backoff_.empty(),
@@ -229,13 +171,7 @@ void ConflictGraphMedium::fire() {
   }
   std::sort(went_busy_.begin(), went_busy_.end());
   for (int nb : went_busy_) {
-    // A busy channel has no live countdown.  (Dense path: min_slot_ may
-    // go stale here; the rescan below runs before the next re-arm.)
-    if (dense_) {
-      can_fire_[static_cast<std::size_t>(nb)] = 0;
-    } else {
-      fire_idx_.erase(nb);
-    }
+    fire_idx_.erase(nb);  // a busy channel has no live countdown
     if (tx_state_[static_cast<std::size_t>(nb)] != kTxIdle) {
       continue;  // about to transmit (or already on the air)
     }
@@ -320,9 +256,6 @@ void ConflictGraphMedium::fire() {
     }
   }
 
-  if (dense_) {
-    rescan_min();  // due-collection and Pass A invalidated flags in bulk
-  }
   sync_pending_fire();
   sync_pending_end();
 }

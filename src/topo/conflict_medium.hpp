@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mac/medium.hpp"
@@ -55,15 +56,6 @@ namespace csmabw::topo {
 ///    a state transition touches the transitioning station's
 ///    neighborhood only — never all N stations.
 ///
-/// Fully-connected graphs are the exception: a clique has no sparsity
-/// to exploit — every event touches all N stations regardless — and
-/// the heap's per-entry bookkeeping costs more than the flat rescan it
-/// replaces.  Small cliques (≤ kDenseCliqueLimit) therefore keep the
-/// dense cached-minimum path: a `fire_time_`/`can_fire_` slab pair plus
-/// `min_slot_`, rescanned O(N) when the minimum's owner changes.
-/// (Production clique scenarios route to mac::Medium anyway; this
-/// covers direct construction, as in the microbench.)
-///
 /// The event-sequence discipline is unchanged from the rescanning
 /// implementation: the pending fire/end timers are re-armed (or
 /// disarmed) at the same call sites with the same times, and each arm
@@ -77,17 +69,19 @@ namespace csmabw::topo {
 /// live in a fixed-capacity slab.
 class ConflictGraphMedium : public mac::MediumBase {
  public:
-  /// `topology.num_nodes()` fixes the station count: exactly that many
-  /// stations must be registered before the simulation starts.
+  /// `topology->num_nodes()` fixes the station count: exactly that many
+  /// stations must be registered before the simulation starts.  The
+  /// graph is shared, never copied: every repetition of a scenario reads
+  /// the one its core::Scenario built.
   ConflictGraphMedium(sim::Simulator& sim, const mac::PhyParams& phy,
-                      Topology topology);
+                      std::shared_ptr<const Topology> topology);
 
   int register_station(mac::DcfStation* s) override;
   void update_contention(mac::DcfStation& s) override;
   [[nodiscard]] bool sensed_busy(const mac::DcfStation& s) const override;
   void bind_metrics(obs::Registry* reg) override;
 
-  [[nodiscard]] const Topology& topology() const { return topo_; }
+  [[nodiscard]] const Topology& topology() const { return *topo_; }
   /// Transmissions currently on the air anywhere in the graph.
   [[nodiscard]] int active_transmissions() const {
     return static_cast<int>(txs_.size());
@@ -114,21 +108,13 @@ class ConflictGraphMedium : public mac::MediumBase {
   static constexpr std::int32_t kTxIdle = -1;     ///< not transmitting
   static constexpr std::int32_t kTxWinning = -2;  ///< firing this instant
 
-  /// Cliques up to this size use the dense min-cache fire path instead
-  /// of the addressable heap (no sparsity to exploit: degree == N - 1).
-  static constexpr int kDenseCliqueLimit = 64;
-
   [[nodiscard]] TimeNs tx_end(const Tx& t) const {
     return t.corrupted ? t.first_end : t.success_end;
   }
   [[nodiscard]] TimeNs fire_time(const mac::DcfStation& s, int i) const;
   /// Recomputes station i's fire eligibility and rekeys (or erases) its
-  /// fire-index entry — O(log N), no global rescan.  On the dense path
-  /// it updates the fire_time_/can_fire_ slabs and challenges (or
-  /// rescans) the cached minimum instead.
+  /// fire-index entry — O(log N), no global rescan.
   void refresh_node(int i);
-  /// Dense path only: full O(N) rescan for the earliest live countdown.
-  void rescan_min();
   /// Re-arms the pending-fire timer at the fire index's minimum (or
   /// disarms it) — always a fresh arm, the event-sequence discipline of
   /// mac::Medium.
@@ -139,7 +125,7 @@ class ConflictGraphMedium : public mac::MediumBase {
   void advance();
   void mark_corrupted(Tx& t);
 
-  Topology topo_;
+  std::shared_ptr<const Topology> topo_;
   CsrAdjacency sense_csr_;
   CsrAdjacency interfere_csr_;
   std::vector<mac::DcfStation*> stations_;
@@ -151,15 +137,9 @@ class ConflictGraphMedium : public mac::MediumBase {
   std::vector<std::int32_t> tx_state_;  ///< txs_ index, or kTxIdle/kTxWinning
 
   std::vector<Tx> txs_;
-  /// Stations with a live countdown, keyed by fire time.  Membership is
-  /// the old `can_fire` flag: in contention, channel idle, not on air.
-  /// Unused on the dense (clique) path.
+  /// Stations with a live countdown, keyed by fire time: in
+  /// contention, channel idle, not on air.
   sim::TimerIndex fire_idx_;
-  // Dense (clique) fire path: flat slabs plus a cached minimum.
-  bool dense_ = false;
-  std::vector<TimeNs> fire_time_;  ///< countdown deadline (valid if can_fire_)
-  std::vector<char> can_fire_;     ///< in contention, idle channel, off air
-  int min_slot_ = -1;              ///< argmin over can_fire_ of fire_time_
   /// Transmitting stations, keyed by their transmission's end.
   sim::TimerIndex end_idx_;
   sim::TimerId pending_fire_;  ///< runs fire() at fire_idx_'s minimum

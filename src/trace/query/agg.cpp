@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/scenario.hpp"
+#include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "stats/histogram.hpp"
 #include "trace/replay.hpp"
@@ -112,15 +113,19 @@ class ReplayPartial final : public AggPartial {
 
 // ----------------------------------------------------------------- delay
 
-/// Per-cell transient statistics — the parallel twin of `trace_tool
-/// replay-stats`, emitting byte-identical rows: same cell grouping, same
-/// repetition checks, same shard-merged TrainReplayStats, same columns.
+/// Per-cell transient statistics of a recorded train campaign, the
+/// columns of campaign_sweep's per-cell rows after `cell`.  Each cell's
+/// replayed trains fold through exp::TrainCellStats in shards of `shard`
+/// repetitions merged in order — the live engine's decomposition — so
+/// with the campaign's shard size the rows are bit-identical to the
+/// live run's.
 class DelayAgg final : public Aggregation {
  public:
   explicit DelayAgg(const util::Options& opts)
       : flow_(opts.get("flow", core::kProbeFlow)),
-        shard_(opts.get("shard", 64)),
+        shard_(opts.get("shard", exp::TrainCampaignConfig{}.shard_size)),
         tol_(opts.get("tol", 0.1)) {
+    CSMABW_REQUIRE(shard_ >= 1, "aggregation `delay`: shard must be >= 1");
     tcfg_.ks_prefix = opts.get("ks_prefix", 1);
     tcfg_.steady_tail = opts.get("steady_tail", 0);
   }
@@ -143,15 +148,17 @@ class DelayAgg final : public Aggregation {
     const FileContext& ctx = partial.context();
     CSMABW_REQUIRE(ctx.meta.train_n >= 2,
                    "`" + ctx.path + "` is not a probe-train recording");
-    if (!cell_ || cell_->index != ctx.meta.cell) {
+    if (!cell_ || cell_->first_meta.cell != ctx.meta.cell) {
       flush_cell();
-      cell_.emplace(ctx.meta.cell, ctx.path, ctx.meta,
-                    TrainReplayStats(
-                        exp::train_transient_config(ctx.meta.train_n, tcfg_),
-                        shard_));
+      cell_.emplace(ctx.path, ctx.meta,
+                    exp::train_transient_config(ctx.meta.train_n, tcfg_));
     }
+    // Recordings from different campaigns mixed in one directory (a
+    // re-record with another seed or train over stale files) must not
+    // blend: all repetitions of a cell agree on everything but the
+    // repetition number, which counts up from 0.
     CSMABW_REQUIRE(ctx.meta.repetition == cell_->reps,
-                   "cell " + std::to_string(cell_->index) +
+                   "cell " + std::to_string(ctx.meta.cell) +
                        " is missing repetition " +
                        std::to_string(cell_->reps) + " (found `" + ctx.path +
                        "`)");
@@ -163,27 +170,17 @@ class DelayAgg final : public Aggregation {
                        cell_->first_path +
                        "` (stale traces from an earlier run? clear the "
                        "directory and re-record)");
-    cell_->stats.add(
-        replay_train(static_cast<ReplayPartial&>(partial).rec.packets(),
-                     flow_));
-    ++cell_->reps;
+    cell_->shard.add(exp::train_rep_record(replay_train(
+        static_cast<ReplayPartial&>(partial).rec.packets(), flow_)));
+    if (++cell_->reps % shard_ == 0) {
+      cell_->close_shard();
+    }
   }
 
   void finish() override { flush_cell(); }
 
   [[nodiscard]] std::vector<std::string> columns() const override {
-    // Byte-for-byte the replay-stats schema: the CI determinism gate
-    // diffs these columns against the live campaign CSV.
-    return {"cell",
-            "reps_used",
-            "dropped",
-            "mean_gap_ms",
-            "measured_rate_mbps",
-            "first_delay_ms",
-            "steady_delay_ms",
-            "ks_first",
-            "ks_thresh_95",
-            "transient_pkts_tol" + util::json_number(tol_)};
+    return exp::Collector::train_columns({"cell"}, tol_);
   }
 
   [[nodiscard]] std::vector<std::vector<util::Value>> rows()
@@ -193,16 +190,23 @@ class DelayAgg final : public Aggregation {
 
  private:
   struct CellState {
-    CellState(int index, std::string first_path, TraceMeta first_meta,
-              TrainReplayStats stats)
-        : index(index),
-          first_path(std::move(first_path)),
+    CellState(std::string first_path, TraceMeta first_meta,
+              const core::TransientConfig& tc)
+        : first_path(std::move(first_path)),
           first_meta(std::move(first_meta)),
-          stats(std::move(stats)) {}
-    int index;
+          stats(tc),
+          shard(tc) {}
+
+    /// Merges the current shard into the cell and starts the next one.
+    void close_shard() {
+      stats.merge(shard);
+      shard = exp::TrainCellStats(stats.analyzer.config());
+    }
+
     std::string first_path;
     TraceMeta first_meta;
-    TrainReplayStats stats;
+    exp::TrainCellStats stats;  ///< the closed shards, merged in order
+    exp::TrainCellStats shard;  ///< the open shard
     int reps = 0;
   };
 
@@ -210,27 +214,12 @@ class DelayAgg final : public Aggregation {
     if (!cell_) {
       return;
     }
-    cell_->stats.finish();
-    std::vector<util::Value> row;
-    row.emplace_back(cell_->index);
-    row.emplace_back(cell_->stats.used());
-    row.emplace_back(cell_->stats.dropped());
-    if (cell_->stats.used() > 0) {
-      const double gap = cell_->stats.output_gap_s().mean();
-      row.emplace_back(gap * 1e3);
-      row.emplace_back(
-          gap > 0.0 ? cell_->first_meta.train_size * 8.0 / gap / 1e6 : 0.0);
-      row.emplace_back(cell_->stats.analyzer().mean_at(0) * 1e3);
-      row.emplace_back(cell_->stats.analyzer().steady_mean() * 1e3);
-      row.emplace_back(cell_->stats.analyzer().ks_at(0));
-      row.emplace_back(cell_->stats.analyzer().ks_threshold_at(0));
-      row.emplace_back(cell_->stats.analyzer().transient_length(tol_));
-    } else {
-      for (int k = 0; k < 7; ++k) {
-        row.emplace_back(kNaN);
-      }
+    if (cell_->reps % shard_ != 0) {
+      cell_->close_shard();
     }
-    rows_.push_back(std::move(row));
+    rows_.push_back(exp::Collector::train_row(
+        {cell_->first_meta.cell}, cell_->stats, cell_->first_meta.train_size,
+        tol_));
     cell_.reset();
   }
 
@@ -682,8 +671,8 @@ std::vector<std::string> aggregation_catalog() {
   return {
       "counts      per-station, per-kind event counts (works with "
       "--where)",
-      "delay       per-cell transient stats, byte-identical to "
-      "replay-stats (flow, ks_prefix, steady_tail, shard, tol)",
+      "delay       per-cell transient stats, byte-identical to the "
+      "live campaign's (flow, ks_prefix, steady_tail, shard, tol)",
       "delay-hist  access-delay histograms (by=position|station, flow, "
       "lo_ms, hi_ms, bins)",
       "airtime     per-station channel-occupation time and share",

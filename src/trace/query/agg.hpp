@@ -92,9 +92,9 @@ class Aggregation {
 /// Built-ins:
 ///   counts      per-station, per-kind event counts (composes with
 ///               --where)
-///   delay       per-cell transient statistics, bit-identical to
-///               `replay-stats` (options: flow, ks_prefix, steady_tail,
-///               shard, tol)
+///   delay       per-cell transient statistics, bit-identical to the
+///               live campaign's metric columns (options: flow,
+///               ks_prefix, steady_tail, shard, tol)
 ///   delay-hist  access-delay histograms grouped by train position or
 ///               station (options: by=position|station, flow, lo_ms,
 ///               hi_ms, bins)

@@ -46,7 +46,8 @@ class VectorSink final : public trace::TraceSink {
 };
 
 mac::WlanNetwork::MediumFactory graph_factory(Topology t) {
-  return [t = std::move(t)](sim::Simulator& sim, const mac::PhyParams& phy)
+  return [t = std::make_shared<const Topology>(std::move(t))](
+             sim::Simulator& sim, const mac::PhyParams& phy)
              -> std::unique_ptr<mac::MediumBase> {
     return std::make_unique<ConflictGraphMedium>(sim, phy, t);
   };
@@ -309,6 +310,31 @@ TEST(ScenarioCellTopology, CliqueRoutesToLegacyMedium) {
   }
   cfg.topology = "grid:3x3";  // 9 nodes vs 3 stations
   EXPECT_THROW(core::ScenarioCell cell(cfg, 0), util::PreconditionError);
+}
+
+// A Scenario builds its conflict graph once: every repetition's medium
+// reads that one object instead of a rebuilt copy.
+TEST(ScenarioCellTopology, RepetitionsShareTheScenarioTopology) {
+  core::ScenarioConfig cfg;
+  cfg.contenders.assign(
+      8, core::StationSpec::poisson(BitRate::mbps(0.4), 1500));
+  cfg.topology = "grid:3x3";
+  const core::Scenario scenario(cfg);
+  ASSERT_NE(scenario.topology(), nullptr);
+  core::ScenarioCell first = scenario.build_cell(0);
+  core::ScenarioCell second = scenario.build_cell(1);
+  for (core::ScenarioCell* cell : {&first, &second}) {
+    auto* medium = dynamic_cast<ConflictGraphMedium*>(&cell->net().medium());
+    ASSERT_NE(medium, nullptr);
+    EXPECT_EQ(&medium->topology(), scenario.topology());
+  }
+
+  // Cliques keep the dense medium and build no graph at all.
+  cfg.topology = "clique:9";
+  const core::Scenario dense(cfg);
+  EXPECT_EQ(dense.topology(), nullptr);
+  core::ScenarioCell cell = dense.build_cell(0);
+  EXPECT_NE(dynamic_cast<mac::Medium*>(&cell.net().medium()), nullptr);
 }
 
 // End-to-end through core::Scenario: a hidden-terminal cell inflates

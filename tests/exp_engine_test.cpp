@@ -558,5 +558,27 @@ TEST(RepScheduling, ProgressTotalsAreReachedExactly) {
   EXPECT_EQ(slice.done(), slice.total());
 }
 
+TEST(RepScheduling, ShardedSliceRepProgressReachesItsTotal) {
+  const Campaign campaign(small_spec());
+  const TrainCampaignConfig cfg = sched_config(7);  // 8 work shards
+  std::int64_t covered = 0;
+  for (int index = 0; index < 3; ++index) {
+    SCOPED_TRACE(index);
+    // Serve-option progress of a process owning one slice ticks only
+    // that slice's repetitions, and its total says so.
+    const serve::ShardSel slice{index, 3};
+    Progress reps(count_train_reps(campaign, cfg, slice), "slice", false);
+    serve::CampaignServeOptions io;
+    io.shard = slice;
+    io.progress = &reps;
+    (void)run_train_campaign(campaign, cfg, Runner(RunnerOptions{2}), io);
+    EXPECT_GT(reps.total(), 0);
+    EXPECT_EQ(reps.done(), reps.total());
+    covered += reps.total();
+  }
+  EXPECT_EQ(covered, campaign.total_repetitions());
+  EXPECT_EQ(count_train_reps(campaign, cfg), campaign.total_repetitions());
+}
+
 }  // namespace
 }  // namespace csmabw::exp

@@ -140,6 +140,25 @@ TEST(MethodCampaign, ResultsAreOrderedAndComplete) {
   }
 }
 
+TEST(MethodCampaign, ShardedSliceProgressReachesItsTotal) {
+  const Campaign campaign(method_spec());  // 12 jobs
+  MethodCampaignConfig cfg;
+  cfg.make_transport = queueing_transport;
+  int covered = 0;
+  for (int index = 0; index < 5; ++index) {
+    SCOPED_TRACE(index);
+    const serve::ShardSel slice{index, 5};
+    Progress progress(count_method_runs(campaign, slice), "slice", false);
+    serve::CampaignServeOptions io;
+    io.shard = slice;
+    io.progress = &progress;
+    (void)run_method_campaign(campaign, cfg, Runner(RunnerOptions{2}), io);
+    EXPECT_EQ(progress.done(), progress.total());
+    covered += count_method_runs(campaign, slice);
+  }
+  EXPECT_EQ(covered, count_method_runs(campaign));
+}
+
 TEST(MethodCampaign, ThreadCountDoesNotChangeResults) {
   const Campaign campaign(method_spec());
   MethodCampaignConfig cfg;

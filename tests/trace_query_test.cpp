@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -515,11 +516,13 @@ TEST(TraceQuery, AggregationRegistryRejectsBadSpecs) {
                util::PreconditionError);
   EXPECT_THROW((void)query::make_aggregation("delay-hist:by=nonsense"),
                util::PreconditionError);
+  EXPECT_THROW((void)query::make_aggregation("delay:shard=0"),
+               util::PreconditionError);
   EXPECT_EQ(query::make_aggregation("delay:shard=4,tol=0.2")->name(),
             "delay");
 }
 
-TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
+TEST(TraceQuery, DelayAggregationMatchesLiveCampaignBitIdentically) {
   const fs::path dir = fs::temp_directory_path() / "csmabw-trace-query-delay";
   fs::remove_all(dir);
 
@@ -534,20 +537,19 @@ TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
   spec.trace_dir = dir.string();
   exp::TrainCampaignConfig tcfg;
   tcfg.ks_prefix = 1;
-  (void)exp::run_train_campaign(exp::Campaign(spec), tcfg,
-                                exp::Runner(exp::RunnerOptions{}));
+  tcfg.shard_size = 4;  // a full and a partial shard to merge
+  const std::vector<exp::TrainCellStats> live = exp::run_train_campaign(
+      exp::Campaign(spec), tcfg, exp::Runner(exp::RunnerOptions{}));
 
   const std::vector<TraceFile> files = list_traces(dir.string());
   ASSERT_EQ(files.size(), 6u);
 
-  // Reference: the replay-stats accumulation (shard 4 to exercise the
-  // shard merge), repetition by repetition.
-  TrainReplayStats ref(
-      exp::train_transient_config(files.front().meta.train_n, tcfg), 4);
-  for (const TraceFile& f : files) {
-    ref.add(replay_train_file(f.path));
-  }
-  ref.finish();
+  // Reference: the live engine's merged cell through the same row
+  // projection campaign_sweep prints.
+  const std::vector<std::string> ref_columns =
+      exp::Collector::train_columns({"cell"}, 0.1);
+  const std::vector<util::Value> ref = exp::Collector::train_row(
+      {0}, live.front(), files.front().meta.train_size, 0.1);
 
   exp::RunnerOptions ropts;
   ropts.threads = 3;
@@ -555,21 +557,14 @@ TEST(TraceQuery, DelayAggregationMatchesReplayStatsBitIdentically) {
       query::make_aggregation("delay:shard=4");
   (void)query::run_query(files, query::QueryPredicate{}, *agg,
                          exp::Runner(ropts));
+  EXPECT_EQ(agg->columns(), ref_columns);
   const std::vector<std::vector<util::Value>> rows = agg->rows();
   ASSERT_EQ(rows.size(), 1u);
   const std::vector<util::Value>& row = rows.front();
-  ASSERT_EQ(row.size(), 10u);
-  EXPECT_EQ(row[1].number(), ref.used());
-  EXPECT_EQ(row[2].number(), ref.dropped());
-  const double gap = ref.output_gap_s().mean();
-  EXPECT_EQ(row[3].number(), gap * 1e3);
-  EXPECT_EQ(row[4].number(),
-            files.front().meta.train_size * 8.0 / gap / 1e6);
-  EXPECT_EQ(row[5].number(), ref.analyzer().mean_at(0) * 1e3);
-  EXPECT_EQ(row[6].number(), ref.analyzer().steady_mean() * 1e3);
-  EXPECT_EQ(row[7].number(), ref.analyzer().ks_at(0));
-  EXPECT_EQ(row[8].number(), ref.analyzer().ks_threshold_at(0));
-  EXPECT_EQ(row[9].number(), ref.analyzer().transient_length(0.1));
+  ASSERT_EQ(row.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(row[i].number(), ref[i].number()) << ref_columns[i];
+  }
 
   fs::remove_all(dir);
 }

@@ -2,9 +2,11 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "exp/collector.hpp"
 #include "exp/engine.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -130,25 +132,35 @@ TEST(TraceReplay, CampaignRecordingReplaysBitIdentically) {
               fs::path(train_trace_path("", 0, r)).filename());
   }
 
-  // Replay single-threaded with the same shard decomposition: every
-  // statistic must come back bit-identical, not merely close.
-  TrainReplayStats replay(exp::train_transient_config(60, tcfg),
-                          /*shard_size=*/4);
-  for (const TraceFile& file : files) {
-    replay.add(replay_train_file(file.path, core::kProbeFlow));
+  // Replay single-threaded through the engine's accumulator with the
+  // same shard decomposition: every statistic must come back
+  // bit-identical, not merely close.
+  const core::TransientConfig tc = exp::train_transient_config(60, tcfg);
+  exp::TrainCellStats replay(tc);
+  exp::TrainCellStats shard(tc);
+  for (int r = 0; r < 10; ++r) {
+    shard.add(exp::train_rep_record(replay_train_file(
+        files[static_cast<std::size_t>(r)].path, core::kProbeFlow)));
+    if (r % tcfg.shard_size == tcfg.shard_size - 1 || r == 9) {
+      replay.merge(shard);
+      shard = exp::TrainCellStats(tc);
+    }
   }
-  replay.finish();
 
-  EXPECT_EQ(replay.used(), live_cell.used);
-  EXPECT_EQ(replay.dropped(), live_cell.dropped);
-  EXPECT_EQ(replay.output_gap_s().mean(), live_cell.output_gap_s.mean());
-  EXPECT_EQ(replay.analyzer().steady_mean(),
-            live_cell.analyzer.steady_mean());
-  EXPECT_EQ(replay.analyzer().ks_at(0), live_cell.analyzer.ks_at(0));
-  EXPECT_EQ(replay.analyzer().transient_length(0.1),
-            live_cell.analyzer.transient_length(0.1));
+  const auto row = [](const exp::TrainCellStats& stats) {
+    std::vector<std::string> texts;
+    for (const util::Value& v :
+         exp::Collector::train_row({}, stats, 1500, 0.1)) {
+      texts.push_back(v.text());
+    }
+    return texts;
+  };
+  EXPECT_EQ(row(replay), row(live_cell));
+  EXPECT_EQ(replay.output_gap_s.count(), live_cell.output_gap_s.count());
+  EXPECT_EQ(replay.output_gap_s.variance(),
+            live_cell.output_gap_s.variance());
   for (int i = 0; i < 60; ++i) {
-    EXPECT_EQ(replay.analyzer().mean_at(i), live_cell.analyzer.mean_at(i))
+    EXPECT_EQ(replay.analyzer.mean_at(i), live_cell.analyzer.mean_at(i))
         << "index " << i;
   }
   fs::remove_all(dir);
@@ -236,14 +248,6 @@ TEST(TraceReplay, RejectsIncompleteTraces) {
   }
   EXPECT_THROW((void)replay_train(full.packets(), 424242),
                util::PreconditionError);
-}
-
-TEST(TraceReplay, TrainReplayStatsGuardsMisuse) {
-  TrainReplayStats stats(exp::train_transient_config(10, {}), 4);
-  EXPECT_THROW((void)stats.analyzer(), util::PreconditionError);
-  stats.finish();
-  core::TrainRun run;
-  EXPECT_THROW(stats.add(run), util::PreconditionError);
 }
 
 }  // namespace
